@@ -49,7 +49,7 @@ def main() -> None:
     print(f"KS test vs Gamma(1/v, v): stat={ks.statistic:.4f} "
           f"p={ks.pvalue:.3f} -> {'PASS' if ks.pvalue > 0.01 else 'FAIL'}")
 
-    chan = result.report.process_stats["__memory_channel__"]
+    chan = result.report.process_stats["__memory_channel_0__"]
     print(f"memory channel       : {chan.bursts} bursts, "
           f"utilization {chan.utilization:.1%}")
 

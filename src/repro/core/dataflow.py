@@ -17,11 +17,14 @@ producer-consumer pair."  This module models that region:
 * deadlock (no process progresses, none done) raises with a full state
   dump instead of hanging.
 
-Runs additionally use a **cycle-skipping fast path**: after a cycle in
-which no process progressed, the region asks every live process and
-channel for a :meth:`~repro.core.process.Process.next_event` hint and,
-when all agree the window is dead, jumps straight to the earliest
-event while bulk-crediting the identical cycle accounting
+The lock-step loop itself is :func:`run_cycles`, shared with
+:class:`~repro.core.pipes.MultiRegionRunner`: a region is the
+one-region case of a pipeline.  It uses a **cycle-skipping fast
+path**: after a cycle in which no process progressed, it asks every
+live process and channel for a
+:meth:`~repro.core.process.Process.next_event` hint and, when all agree
+the window is dead, jumps straight to the earliest event while
+bulk-crediting the identical cycle accounting
 (``docs/simulator_fastpath.md``).  Instrumented runs (tracer or
 explicit attribution) skip too: a dead window provably repeats the
 stall classification of the cycle before it, so the whole window is
@@ -54,73 +57,6 @@ class DeadlockError(RuntimeError):
     """The region stopped making progress before all processes finished."""
 
 
-#: Deprecated alias key for the first memory channel's stats (see
-#: :class:`_ProcessStatsMap`).
-LEGACY_CHANNEL_KEY = "__memory_channel__"
-
-
-class _ProcessStatsMap(dict):
-    """``RegionReport.process_stats`` mapping with a legacy alias.
-
-    Channel stats live under indexed keys (``__memory_channel_0__``,
-    ``__memory_channel_1__``, …).  The pre-multi-channel key
-    ``__memory_channel__`` still *resolves* — to channel 0 — for old
-    callers, but it is not stored: iteration, ``len`` and equality see
-    each :class:`~repro.core.memory.ChannelStats` exactly once, so
-    aggregations over ``process_stats.values()`` no longer double-count
-    the first channel.
-
-    The alias covers the whole mapping surface — ``[]``, ``get``,
-    ``in``, ``pop``, ``setdefault`` — and :meth:`copy` returns another
-    alias-aware map.  The one spot the alias cannot reach is a plain
-    ``dict(process_stats)`` copy: CPython's dict-from-dict fast path
-    copies stored items only, so the plain copy holds channel 0 exactly
-    once, under its indexed key.
-    """
-
-    @staticmethod
-    def _resolve(key):
-        return "__memory_channel_0__" if key == LEGACY_CHANNEL_KEY else key
-
-    def __missing__(self, key):
-        if key == LEGACY_CHANNEL_KEY:
-            return self["__memory_channel_0__"]
-        raise KeyError(key)
-
-    def __contains__(self, key) -> bool:
-        if dict.__contains__(self, key):
-            return True
-        return key == LEGACY_CHANNEL_KEY and dict.__contains__(
-            self, "__memory_channel_0__"
-        )
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    _POP_MISSING = object()
-
-    def pop(self, key, default=_POP_MISSING):
-        # popping the legacy alias pops the canonical key, so the alias
-        # stops resolving afterwards (there is nothing left to alias)
-        try:
-            return dict.pop(self, self._resolve(key))
-        except KeyError:
-            if default is not self._POP_MISSING:
-                return default
-            raise KeyError(key) from None
-
-    def setdefault(self, key, default=None):
-        # an absent legacy key stores under the canonical indexed key;
-        # a present one returns channel 0 without storing the alias
-        return dict.setdefault(self, self._resolve(key), default)
-
-    def copy(self) -> "_ProcessStatsMap":
-        return _ProcessStatsMap(self)
-
-
 @dataclass
 class RegionReport:
     """Result of a region run."""
@@ -142,6 +78,18 @@ class RegionReport:
         return 1e3 * self.runtime_seconds(frequency_hz)
 
 
+def _stream_snapshot(stream: Stream) -> dict:
+    """Stat snapshot of one stream or pipe (a ``stream_stats`` entry)."""
+    return {
+        "depth": stream.depth,
+        "high_water": stream.high_water,
+        "total_writes": stream.total_writes,
+        "total_reads": stream.total_reads,
+        "write_stalls": stream.write_stalls,
+        "read_stalls": stream.read_stalls,
+    }
+
+
 class DataflowRegion:
     """A set of processes wired by streams, executed cycle by cycle."""
 
@@ -149,14 +97,8 @@ class DataflowRegion:
         self.name = name
         self._processes: list[Process] = []
         self._memory_channels: list = []
-        self._validated = False
         #: cycles the last run jumped over instead of ticking
         self.skipped_cycles = 0
-
-    @property
-    def _memory_channel(self):
-        """Back-compat single-channel view (None if absent)."""
-        return self._memory_channels[0] if self._memory_channels else None
 
     # -- construction ------------------------------------------------------------
 
@@ -165,7 +107,6 @@ class DataflowRegion:
         if any(p.name == process.name for p in self._processes):
             raise DataflowError(f"duplicate process name {process.name!r}")
         self._processes.append(process)
-        self._validated = False
         return process
 
     def attach_memory_channel(self, channel) -> None:
@@ -219,7 +160,6 @@ class DataflowRegion:
                 f"region {self.name!r} contains a stream cycle; DATAFLOW "
                 "requires a feed-forward process network"
             ) from exc
-        self._validated = True
         return [self._processes[i] for i in order]
 
     # -- execution ------------------------------------------------------------------
@@ -263,244 +203,273 @@ class DataflowRegion:
             raise DataflowError("region has no processes")
         ordered = self._validate()
         if attribution is None:
-            if tracer is None:
-                tracer = get_tracer()
-            if tracer.enabled:
-                attribution = StallAttribution(self.name, tracer=tracer)
-        self.skipped_cycles = 0
-        fast = True if fast_path is None else fast_path
+            attribution = _resolve_attribution(self.name, tracer)
+        cycles, _done_at = run_cycles(
+            self,
+            f"region {self.name!r}",
+            (self,),
+            ordered,
+            self._memory_channels,
+            max_cycles,
+            fast=True if fast_path is None else fast_path,
+            attribution=attribution,
+        )
+        report = self._report(cycles)
         if attribution is not None:
-            return self._run_instrumented(
-                ordered, max_cycles, attribution, fast=fast
-            )
-        cycle = 0
-        live = [p for p in ordered if not p.done()]
+            report.stall_report = attribution.report()
+        return report
+
+    def _report(self, cycles: int) -> RegionReport:
+        stats = {p.name: p.stats for p in self._processes}
+        for i, channel in enumerate(self._memory_channels):
+            stats[f"__memory_channel_{i}__"] = channel.stats
+        return RegionReport(
+            cycles=cycles,
+            process_stats=stats,
+            stream_stats={
+                s.name: _stream_snapshot(s)
+                for p in self._processes
+                for s in (*p.inputs(), *p.outputs())
+            },
+        )
+
+
+# ---------------------------------------------------------------------------
+# the lock-step cycle loop (regions and pipelines)
+# ---------------------------------------------------------------------------
+
+
+def _resolve_attribution(name: str, tracer=None) -> StallAttribution | None:
+    """An attribution when ``tracer`` (default: the global one) is on."""
+    if tracer is None:
+        tracer = get_tracer()
+    return StallAttribution(name, tracer=tracer) if tracer.enabled else None
+
+
+def run_cycles(
+    owner,
+    label: str,
+    regions,
+    ordered: list[Process],
+    channels,
+    max_cycles: int,
+    fast: bool,
+    attribution: StallAttribution | None = None,
+) -> tuple[int, dict[str, int]]:
+    """Advance ``ordered`` in lock-step until every process is done.
+
+    The one cycle loop behind :meth:`DataflowRegion.run` and
+    :meth:`~repro.core.pipes.MultiRegionRunner.run`.  Each cycle every
+    live process ticks in topological order, then every (deduped)
+    channel ticks.  A cycle with no progress anywhere raises
+    :class:`DeadlockError` naming the stuck processes of ``regions``;
+    ``max_cycles`` elapsing raises ``RuntimeError``.  ``label`` names
+    the run in both messages.  Cycles jumped over by the fast path are
+    counted into ``owner.skipped_cycles`` (reset here), so the count
+    survives an abort.
+
+    With an ``attribution`` each cycle is also classified into the
+    :mod:`repro.obs.stall` taxonomy (see :func:`_attributed_cycle`);
+    without one the loop pays a single ``None`` check per cycle.  The
+    attribution is closed on every exit path (normal, runaway,
+    deadlock) alike.
+
+    Returns the final cycle and the cycle at which each process (by
+    name) finished — ``0`` for processes already done at the start.
+    """
+    owner.skipped_cycles = 0
+    cycle = 0
+    done_at = {p.name: 0 for p in ordered if p.done()}
+    live = [p for p in ordered if not p.done()]
+    # the instrumented skip stops one cycle short of the event horizon:
+    # the boundary cycle is where classification changes (at a
+    # burst-completion tick the owner is no longer attributed
+    # ``transfer``) and must be observed by a real tick, not replicated
+    boundary = 0 if attribution is None else 1
+    states: dict[str, str] = {}
+    try:
         while live:
             if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"region {self.name!r} exceeded {max_cycles} cycles"
+                raise RuntimeError(f"{label} exceeded {max_cycles} cycles")
+            if attribution is None:
+                proc_progress = False
+                for proc in live:
+                    if proc.tick(cycle):
+                        proc_progress = True
+                progressed = proc_progress
+                for channel in channels:
+                    if channel.tick(cycle):
+                        progressed = True
+            else:
+                proc_progress, progressed, states = _attributed_cycle(
+                    ordered, live, channels, cycle, attribution
                 )
-            proc_progress = False
-            for proc in live:
-                if proc.tick(cycle):
-                    proc_progress = True
-            progressed = proc_progress
-            for channel in self._memory_channels:
-                if channel.tick(cycle):
-                    progressed = True
             if not progressed:
-                raise DeadlockError(self._deadlock_message(cycle))
+                raise DeadlockError(
+                    _deadlock_message(label, regions, channels, cycle)
+                )
             cycle += 1
-            live = [p for p in live if not p.done()]  # done() is monotone
+            still = [p for p in live if not p.done()]  # done() is monotone
+            if len(still) != len(live):
+                for proc in live:
+                    if proc.done():
+                        done_at[proc.name] = cycle
+                live = still
             # probe for a dead window only after a cycle in which every
             # process stalled (channel-only progress) — active phases pay
             # one boolean per cycle, nothing more
             if fast and live and not proc_progress:
-                span = self._skip_window(live, cycle)
+                span = _skip_window(live, channels, cycle)
                 if span > max_cycles - cycle:
                     span = max_cycles - cycle  # stop exactly at the guard
+                span -= boundary
                 if span >= 2:
-                    for proc in live:
-                        proc.skip_cycles(cycle, span)
-                    for channel in self._memory_channels:
-                        channel.skip_cycles(cycle, span)
-                    self.skipped_cycles += span
-                    cycle += span
-        return self._report(cycle)
-
-    def _skip_window(self, live: list[Process], cycle: int) -> int:
-        """Length of the provably dead window starting at ``cycle``.
-
-        Asks every live process and channel for its
-        :meth:`~repro.core.process.Process.next_event` hint.  Any
-        ``None`` (no guarantee) disables skipping; an all-``inf`` answer
-        means nothing self-times, so the next reference tick must decide
-        (it is the one that can raise :class:`DeadlockError`).  A finite
-        horizon is safe to jump to because within the window every
-        process repeats its current stall/bubble accounting and at most
-        the first channel completion lands — exactly at ``horizon - 1``,
-        observed at ``horizon``.
-        """
-        horizon: float = float("inf")
-        for proc in live:
-            event = proc.next_event(cycle)
-            if event is None:
-                return 0
-            if event < horizon:
-                horizon = event
-        for channel in self._memory_channels:
-            event = channel.next_event(cycle)
-            if event < horizon:
-                horizon = event
-        if horizon == float("inf"):
-            return 0
-        return int(horizon) - cycle
-
-    def _run_instrumented(
-        self,
-        ordered: list[Process],
-        max_cycles: int,
-        attribution: StallAttribution,
-        fast: bool = True,
-    ) -> RegionReport:
-        """The traced twin of :meth:`run`'s loop.
-
-        Identical semantics (tick order, deadlock detection, runaway
-        guard) plus a per-cycle classification of every process into the
-        :mod:`repro.obs.stall` taxonomy, found by diffing the progress
-        counters around ``tick()``:
-
-        * ``active_cycles`` moved → compute;
-        * an output stream's ``write_stalls`` moved → FIFO full;
-        * an input stream's ``read_stalls`` moved → FIFO empty;
-        * the process owns the burst draining on a channel → transfer;
-        * otherwise the process's own :meth:`Process.stall_reason`
-          (sampled *before* the tick) — channel-grant waits and
-          initiation-interval bubbles classify themselves.
-
-        Dead windows take the same cycle-skipping fast path as
-        untraced runs, with one refinement: the skip stops one cycle
-        *short* of the event horizon, because the boundary cycle is
-        where classification changes (at a burst-completion tick the
-        owner is no longer attributed ``transfer``) and must be
-        observed by the reference code above, not replicated.  Inside
-        the shortened window every live process repeats the state it
-        was attributed on the cycle just before it — pure stalls
-        re-poll the same full/empty stream, a queued engine keeps
-        waiting for its grant, a draining burst keeps draining — so
-        the whole window is attributed in one
-        :meth:`StallAttribution.skip_window` call and the resulting
-        trace and report are identical to the reference loop's.
-        """
-        channels = self._memory_channels
-        cycle = 0
-        while True:
-            live = [p for p in ordered if not p.done()]
-            if not live:
-                break
-            if cycle >= max_cycles:
-                # no-arg close: spans end at the last recorded cycle on
-                # every exit path (normal, runaway, deadlock) alike
-                attribution.close()
-                raise RuntimeError(
-                    f"region {self.name!r} exceeded {max_cycles} cycles"
-                )
-            proc_progress = False
-            states: dict[str, str] = {}
-            pre: dict[str, tuple] = {}
-            for proc in ordered:
-                if proc.done():
-                    states[proc.name] = _stall.DONE
-                    continue
-                pre[proc.name] = (
-                    proc.stats.active_cycles,
-                    proc.stall_reason(),
-                    tuple(s.read_stalls for s in proc.inputs()),
-                    tuple(s.write_stalls for s in proc.outputs()),
-                )
-                if proc.tick(cycle):
-                    proc_progress = True
-            progressed = proc_progress
-            owners: set[str] = set()
-            channels_busy: list[bool] = []
-            for channel in channels:
-                busy = channel.tick(cycle)
-                if busy:
-                    progressed = True
-                channels_busy.append(busy)
-                current = channel._current
-                if current is not None:
-                    owners.add(current.owner)
-            for proc in ordered:
-                if proc.name in states:
-                    continue
-                active0, reason, reads0, writes0 = pre[proc.name]
-                if proc.name in owners:
-                    states[proc.name] = _stall.TRANSFER
-                elif proc.stats.active_cycles > active0:
-                    states[proc.name] = _stall.COMPUTE
-                elif any(
-                    s.write_stalls > w0
-                    for s, w0 in zip(proc.outputs(), writes0)
-                ):
-                    states[proc.name] = _stall.FIFO_FULL
-                elif any(
-                    s.read_stalls > r0
-                    for s, r0 in zip(proc.inputs(), reads0)
-                ):
-                    states[proc.name] = _stall.FIFO_EMPTY
-                elif reason is not None:
-                    states[proc.name] = reason
-                else:
-                    states[proc.name] = _stall.PIPELINE
-            attribution.record_cycle(cycle, states, channels_busy)
-            if not progressed:
-                attribution.close()
-                raise DeadlockError(self._deadlock_message(cycle))
-            cycle += 1
-            # probe for a dead window after an all-stall cycle, exactly
-            # like the untraced loop (no process finished this cycle, so
-            # ``live`` is still current)
-            if fast and not proc_progress:
-                span = self._skip_window(live, cycle)
-                if span > max_cycles - cycle:
-                    span = max_cycles - cycle
-                span -= 1  # the boundary cycle gets a classifying tick
-                if span >= 2:
-                    busy_before = [ch.stats.busy_cycles for ch in channels]
+                    if attribution is not None:
+                        busy_before = [ch.stats.busy_cycles for ch in channels]
                     for proc in live:
                         proc.skip_cycles(cycle, span)
                     for channel in channels:
                         channel.skip_cycles(cycle, span)
-                    attribution.skip_window(
-                        cycle,
-                        span,
-                        states,
-                        [
-                            ch.stats.busy_cycles - before
-                            for ch, before in zip(channels, busy_before)
-                        ],
-                    )
-                    self.skipped_cycles += span
+                    if attribution is not None:
+                        # every live process repeats the state it was
+                        # attributed on the cycle just before the window
+                        attribution.skip_window(
+                            cycle,
+                            span,
+                            states,
+                            [
+                                ch.stats.busy_cycles - before
+                                for ch, before in zip(channels, busy_before)
+                            ],
+                        )
+                    owner.skipped_cycles += span
                     cycle += span
-        attribution.close()
-        report = self._report(cycle)
-        report.stall_report = attribution.report()
-        return report
+    finally:
+        if attribution is not None:
+            # no-arg close: spans end at the last recorded cycle
+            attribution.close()
+    return cycle, done_at
 
-    def _deadlock_message(self, cycle: int) -> str:
-        lines = [f"deadlock in region {self.name!r} at cycle {cycle}:"]
-        for p in self._processes:
-            if not p.done():
-                lines.append(f"  stuck: {p!r}")
-                for s in p.inputs():
-                    lines.append(f"    in  {s!r}")
-                for s in p.outputs():
-                    lines.append(f"    out {s!r}")
-        for channel in self._memory_channels:
-            lines.append(f"  channel: {channel!r}")
-        return "\n".join(lines)
 
-    def _report(self, cycles: int) -> RegionReport:
-        streams: dict[str, dict] = {}
-        for p in self._processes:
-            for s in (*p.inputs(), *p.outputs()):
-                streams[s.name] = {
-                    "depth": s.depth,
-                    "high_water": s.high_water,
-                    "total_writes": s.total_writes,
-                    "total_reads": s.total_reads,
-                    "write_stalls": s.write_stalls,
-                    "read_stalls": s.read_stalls,
-                }
-        stats = _ProcessStatsMap((p.name, p.stats) for p in self._processes)
-        for i, channel in enumerate(self._memory_channels):
-            stats[f"__memory_channel_{i}__"] = channel.stats
-        # the legacy "__memory_channel__" key is a resolve-only alias of
-        # channel 0 (see _ProcessStatsMap) — NOT stored, so iterating
-        # process_stats counts each channel exactly once
-        return RegionReport(
-            cycles=cycles,
-            process_stats=stats,
-            stream_stats=streams,
+def _attributed_cycle(
+    ordered: list[Process],
+    live: list[Process],
+    channels,
+    cycle: int,
+    attribution: StallAttribution,
+) -> tuple[bool, bool, dict[str, str]]:
+    """One instrumented cycle: tick everything, classify every process.
+
+    Same tick order as the untraced loop, plus a classification of
+    every process found by diffing its progress counters around
+    ``tick()``:
+
+    * ``active_cycles`` moved → compute;
+    * an output stream's ``write_stalls`` moved → FIFO full;
+    * an input stream's ``read_stalls`` moved → FIFO empty;
+    * the process owns the burst draining on a channel → transfer;
+    * otherwise the process's own :meth:`Process.stall_reason` —
+      channel-grant waits and initiation-interval bubbles classify
+      themselves.
+
+    The counters and ``stall_reason()`` are sampled immediately before
+    each process ticks, i.e. *after* its upstream processes already
+    ticked this cycle.  Returns ``(process progress, any progress,
+    states)``.
+    """
+    # finished processes first, then live ones in topological order —
+    # the insertion order the exported span order follows
+    states = {p.name: _stall.DONE for p in ordered if p.done()}
+    pre = []
+    proc_progress = False
+    for proc in live:
+        pre.append(
+            (
+                proc,
+                proc.stats.active_cycles,
+                proc.stall_reason(),
+                tuple(s.read_stalls for s in proc.inputs()),
+                tuple(s.write_stalls for s in proc.outputs()),
+            )
         )
+        if proc.tick(cycle):
+            proc_progress = True
+    progressed = proc_progress
+    owners: set[str] = set()
+    channels_busy: list[bool] = []
+    for channel in channels:
+        busy = channel.tick(cycle)
+        if busy:
+            progressed = True
+        channels_busy.append(busy)
+        current = channel._current
+        if current is not None:
+            owners.add(current.owner)
+    for proc, active0, reason, reads0, writes0 in pre:
+        if proc.name in owners:
+            state = _stall.TRANSFER
+        elif proc.stats.active_cycles > active0:
+            state = _stall.COMPUTE
+        elif any(
+            s.write_stalls > w0 for s, w0 in zip(proc.outputs(), writes0)
+        ):
+            state = _stall.FIFO_FULL
+        elif any(s.read_stalls > r0 for s, r0 in zip(proc.inputs(), reads0)):
+            state = _stall.FIFO_EMPTY
+        elif reason is not None:
+            state = reason
+        else:
+            state = _stall.PIPELINE
+        states[proc.name] = state
+    attribution.record_cycle(cycle, states, channels_busy)
+    return proc_progress, progressed, states
+
+
+def _skip_window(live: list[Process], channels, cycle: int) -> int:
+    """Length of the provably dead window starting at ``cycle``.
+
+    Asks every live process and channel for its
+    :meth:`~repro.core.process.Process.next_event` hint.  Any ``None``
+    (no guarantee) disables skipping; an all-``inf`` answer means
+    nothing self-times, so the next reference tick must decide (it is
+    the one that can raise :class:`DeadlockError`).  A finite horizon
+    is safe to jump to because within the window every process repeats
+    its current stall/bubble accounting and at most the first channel
+    completion lands — exactly at ``horizon - 1``, observed at
+    ``horizon``.  Across pipeline regions the hints compose: each
+    already means "nothing I observe changes", and during a window in
+    which *no* process anywhere acts, nothing anywhere changes.
+    """
+    horizon: float = float("inf")
+    for proc in live:
+        event = proc.next_event(cycle)
+        if event is None:
+            return 0
+        if event < horizon:
+            horizon = event
+    for channel in channels:
+        event = channel.next_event(cycle)
+        if event < horizon:
+            horizon = event
+    if horizon == float("inf"):
+        return 0
+    return int(horizon) - cycle
+
+
+def _deadlock_message(label: str, regions, channels, cycle: int) -> str:
+    """State dump naming every stuck process, grouped by region."""
+    lines = [f"deadlock in {label} at cycle {cycle}:"]
+    for region in regions:
+        stuck = [p for p in region.processes if not p.done()]
+        if not stuck:
+            continue
+        lines.append(f"  region {region.name!r}:")
+        for p in stuck:
+            lines.append(f"    stuck: {p!r}")
+            for s in p.inputs():
+                lines.append(f"      in  {s!r}")
+            for s in p.outputs():
+                lines.append(f"      out {s!r}")
+    for channel in channels:
+        lines.append(f"  channel: {channel!r}")
+    return "\n".join(lines)

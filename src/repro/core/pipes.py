@@ -19,7 +19,9 @@ pipes with cross-kernel overlap.  This module generalizes
   like the processes inside one region do — with the cycle-skipping
   fast path composed across regions: a window is skipped only when
   *every* live process in *every* region and every memory channel
-  agrees it is dead.
+  agrees it is dead.  The loop is the one
+  :meth:`~repro.core.dataflow.DataflowRegion.run` uses, so an enabled
+  tracer gives pipelines the same per-cycle stall attribution.
 
 Memory channels are first-class at the pipeline level: each region
 attaches the channel(s) its engines use (per-region channel affinity),
@@ -44,12 +46,14 @@ import networkx as nx
 from repro.core.dataflow import (
     DataflowError,
     DataflowRegion,
-    DeadlockError,
     RegionReport,
-    _ProcessStatsMap,
+    _resolve_attribution,
+    _stream_snapshot,
+    run_cycles,
 )
 from repro.core.process import Process
 from repro.core.stream import Stream
+from repro.obs.stall import StallReport
 
 __all__ = [
     "MultiRegionRunner",
@@ -95,6 +99,9 @@ class PipelineReport:
     #: stats (``__memory_channel_0__``, …) — channels shared between
     #: regions appear exactly once
     process_stats: dict[str, object] = field(default_factory=dict)
+    #: per-cycle stall attribution across every region; only populated
+    #: on pipelined runs under an enabled global tracer
+    stall_report: StallReport | None = None
 
     @property
     def stream_stats(self) -> dict[str, dict]:
@@ -132,7 +139,6 @@ class PipelineGraph:
     def __init__(self, name: str = "pipeline"):
         self.name = name
         self._regions: list[DataflowRegion] = []
-        self._validated: tuple | None = None
 
     @property
     def regions(self) -> tuple[DataflowRegion, ...]:
@@ -145,16 +151,17 @@ class PipelineGraph:
         if any(r.name == region.name for r in self._regions):
             raise PipeError(f"duplicate region name {region.name!r}")
         self._regions.append(region)
-        self._validated = None
         return region
 
     # -- validation ----------------------------------------------------------------
 
     def _validate(self):
         """Validate wiring; returns (ordered regions, ordered processes,
-        channels, pipes)."""
-        if self._validated is not None:
-            return self._validated
+        channels, pipes).
+
+        Not cached: regions stay mutable after being added (a process
+        added later must still tick), so every call re-validates.
+        """
         if not self._regions:
             raise PipeError("pipeline has no regions")
         names: set[str] = set()
@@ -244,13 +251,12 @@ class PipelineGraph:
                 if id(channel) not in seen_channels:
                     seen_channels.add(id(channel))
                     channels.append(channel)
-        self._validated = (
+        return (
             ordered_regions,
             ordered_processes,
             tuple(channels),
             tuple(pipes),
         )
-        return self._validated
 
     @property
     def pipes(self) -> tuple[Pipe, ...]:
@@ -265,8 +271,9 @@ class PipelineGraph:
 class MultiRegionRunner:
     """Co-schedule a :class:`PipelineGraph` on one shared cycle loop.
 
-    The loop is :meth:`DataflowRegion.run` lifted to the pipeline:
-    every live process across every region ticks once per cycle in
+    The loop is :func:`~repro.core.dataflow.run_cycles`, the same one
+    :meth:`DataflowRegion.run` uses, lifted to the pipeline: every live
+    process across every region ticks once per cycle in
     region-topological then intra-region-topological order (so a token
     written into a pipe at cycle *t* is visible to the consumer region
     at cycle *t*), all channels tick after the processes, deadlock is
@@ -295,64 +302,29 @@ class MultiRegionRunner:
         ``max_cycles`` elapse, and ``fast_path=False`` forces the
         reference one-cycle-at-a-time loop (the differential suite
         asserts field-for-field identical :class:`PipelineReport`\\ s).
+        An enabled global tracer (:func:`repro.obs.use_tracer`)
+        instruments the run and fills ``PipelineReport.stall_report``.
         """
-        regions, ordered, channels, _pipes = self.graph._validate()
-        self.skipped_cycles = 0
-        fast = True if fast_path is None else fast_path
-        cycle = 0
-        live = [p for p in ordered if not p.done()]
-        region_live = {
-            r.name: sum(1 for p in r.processes if not p.done())
-            for r in regions
+        validated = self.graph._validate()
+        regions, ordered, channels, _pipes = validated
+        attribution = _resolve_attribution(self.graph.name)
+        cycles, done_at = run_cycles(
+            self,
+            f"pipeline {self.graph.name!r}",
+            self.graph.regions,
+            ordered,
+            channels,
+            max_cycles,
+            fast=True if fast_path is None else fast_path,
+            attribution=attribution,
+        )
+        region_done = {
+            r.name: max(done_at[p.name] for p in r.processes) for r in regions
         }
-        region_done: dict[str, int] = {
-            r.name: 0 for r in regions if region_live[r.name] == 0
-        }
-        while live:
-            if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"pipeline {self.graph.name!r} exceeded "
-                    f"{max_cycles} cycles"
-                )
-            proc_progress = False
-            for proc in live:
-                if proc.tick(cycle):
-                    proc_progress = True
-            progressed = proc_progress
-            for channel in channels:
-                if channel.tick(cycle):
-                    progressed = True
-            if not progressed:
-                raise DeadlockError(self._deadlock_message(cycle, channels))
-            cycle += 1
-            still = [p for p in live if not p.done()]
-            if len(still) != len(live):
-                finished = {id(p) for p in live} - {id(p) for p in still}
-                for region in regions:
-                    if region.name in region_done:
-                        continue
-                    done_here = sum(
-                        1 for p in region.processes if id(p) in finished
-                    )
-                    if done_here:
-                        region_live[region.name] -= done_here
-                        if region_live[region.name] == 0:
-                            region_done[region.name] = cycle
-            live = still
-            # probe for a dead window only after a cycle in which every
-            # process in every region stalled (channel-only progress)
-            if fast and live and not proc_progress:
-                span = self._skip_window(live, cycle, channels)
-                if span > max_cycles - cycle:
-                    span = max_cycles - cycle  # stop exactly at the guard
-                if span >= 2:
-                    for proc in live:
-                        proc.skip_cycles(cycle, span)
-                    for channel in channels:
-                        channel.skip_cycles(cycle, span)
-                    self.skipped_cycles += span
-                    cycle += span
-        return self._report(cycle, region_done, mode="pipelined")
+        report = self._report(validated, cycles, region_done, "pipelined")
+        if attribution is not None:
+            report.stall_report = attribution.report()
+        return report
 
     def run_sequential(
         self,
@@ -368,91 +340,34 @@ class MultiRegionRunner:
         producer region, surfacing the sizing error instead of silently
         overlapping.
         """
-        regions, _ordered, _channels, _pipes = self.graph._validate()
+        validated = self.graph._validate()
         self.skipped_cycles = 0
         total = 0
         region_done: dict[str, int] = {}
-        for region in regions:
+        for region in validated[0]:
             report = region.run(max_cycles=max_cycles, fast_path=fast_path)
             total += report.cycles
             region_done[region.name] = total
             self.skipped_cycles += region.skipped_cycles
-        return self._report(total, region_done, mode="sequential")
+        return self._report(validated, total, region_done, "sequential")
 
     # -- internals ------------------------------------------------------------------
 
-    def _skip_window(self, live: list[Process], cycle: int, channels) -> int:
-        """Dead-window length starting at ``cycle``, across all regions.
-
-        Identical contract to :meth:`DataflowRegion._skip_window`, with
-        the horizon taken over every live process of every region and
-        every (deduped) channel — the hints compose because each hint
-        already means "nothing I observe changes", and during a window
-        in which *no* process anywhere acts, nothing anywhere changes.
-        """
-        horizon: float = float("inf")
-        for proc in live:
-            event = proc.next_event(cycle)
-            if event is None:
-                return 0
-            if event < horizon:
-                horizon = event
-        for channel in channels:
-            event = channel.next_event(cycle)
-            if event < horizon:
-                horizon = event
-        if horizon == float("inf"):
-            return 0
-        return int(horizon) - cycle
-
-    def _deadlock_message(self, cycle: int, channels) -> str:
-        lines = [
-            f"deadlock in pipeline {self.graph.name!r} at cycle {cycle}:"
-        ]
-        for region in self.graph.regions:
-            stuck = [p for p in region.processes if not p.done()]
-            if not stuck:
-                continue
-            lines.append(f"  region {region.name!r}:")
-            for p in stuck:
-                lines.append(f"    stuck: {p!r}")
-                for s in p.inputs():
-                    lines.append(f"      in  {s!r}")
-                for s in p.outputs():
-                    lines.append(f"      out {s!r}")
-        for channel in channels:
-            lines.append(f"  channel: {channel!r}")
-        return "\n".join(lines)
-
+    @staticmethod
     def _report(
-        self, cycles: int, region_done: dict[str, int], mode: str
+        validated, cycles: int, region_done: dict[str, int], mode: str
     ) -> PipelineReport:
-        regions, _ordered, channels, pipes = self.graph._validate()
-        region_reports = {
-            r.name: r._report(region_done.get(r.name, cycles))
-            for r in regions
-        }
-        stats = _ProcessStatsMap(
-            (p.name, p.stats) for r in regions for p in r.processes
-        )
+        regions, _ordered, channels, pipes = validated
+        stats = {p.name: p.stats for r in regions for p in r.processes}
         for i, channel in enumerate(channels):
             stats[f"__memory_channel_{i}__"] = channel.stats
-        pipe_stats = {
-            pipe.name: {
-                "depth": pipe.depth,
-                "high_water": pipe.high_water,
-                "total_writes": pipe.total_writes,
-                "total_reads": pipe.total_reads,
-                "write_stalls": pipe.write_stalls,
-                "read_stalls": pipe.read_stalls,
-            }
-            for pipe in pipes
-        }
         return PipelineReport(
             cycles=cycles,
             mode=mode,
-            region_reports=region_reports,
-            region_done_cycles=dict(region_done),
-            pipe_stats=pipe_stats,
+            region_reports={
+                r.name: r._report(region_done[r.name]) for r in regions
+            },
+            region_done_cycles=region_done,
+            pipe_stats={pipe.name: _stream_snapshot(pipe) for pipe in pipes},
             process_stats=stats,
         )

@@ -1,10 +1,11 @@
-"""Stall attribution: classify every simulated cycle of a region run.
+"""Stall attribution: classify every simulated cycle of a region or pipeline run.
 
 The paper's performance argument is about *where cycles go*: decoupled
 work-items keep their pipelines busy, and the Fig 3 schedule hides the
 memory-channel transfers behind other work-items' compute.  This module
 turns that claim into data — every cycle of every process in a
-:class:`~repro.core.dataflow.DataflowRegion` run is attributed to one
+:class:`~repro.core.dataflow.DataflowRegion` or
+:class:`~repro.core.pipes.MultiRegionRunner` run is attributed to one
 class:
 
 ========================  ====================================================
@@ -23,8 +24,8 @@ of cycles where at least one process computes *while* the memory
 channel is draining a burst.  A decoupled region shows substantial
 overlap (Fig 3's interleaving); a serialized design shows ~0.
 
-:class:`StallAttribution` is driven per cycle by the instrumented
-region loop; it compresses consecutive same-state cycles into windows,
+:class:`StallAttribution` is driven per cycle by the shared cycle loop
+(:func:`~repro.core.dataflow.run_cycles`); it compresses consecutive same-state cycles into windows,
 emits each window as a Chrome ``cat="cycle"`` span through the
 injected :class:`~repro.obs.tracer.Tracer`, and produces a
 :class:`StallReport`.  :func:`reports_from_trace` reconstructs the same
@@ -187,12 +188,12 @@ class StallReport:
 
 
 class StallAttribution:
-    """Per-cycle classifier driven by the instrumented region loop.
+    """Per-cycle classifier driven by the shared cycle loop.
 
     Parameters
     ----------
     region:
-        Region name (trace process row, report title).
+        Region or pipeline name (trace process row, report title).
     tracer:
         Sink for the compressed cycle-window spans (``NullTracer`` keeps
         the attribution purely in-memory).
@@ -299,7 +300,7 @@ class StallAttribution:
         """Attribute a provably dead window of ``span`` cycles in one call.
 
         The instrumented fast path
-        (:meth:`~repro.core.dataflow.DataflowRegion.run`) calls this in
+        (:func:`~repro.core.dataflow.run_cycles`) calls this in
         place of ``span`` individual :meth:`record_cycle` calls when
         every live process is guaranteed to repeat the state it was
         attributed on the cycle just before the window.  Counts advance
@@ -498,6 +499,7 @@ def report_from_trace(source: str | dict) -> StallReport:
     if not reports:
         raise ValueError(
             "trace contains no cycle-attribution events (cat='cycle'); "
-            "was the run traced through DataflowRegion.run(tracer=...)?"
+            "was the run traced through DataflowRegion.run(tracer=...) "
+            "or MultiRegionRunner.run under use_tracer(...)?"
         )
     return reports[0]

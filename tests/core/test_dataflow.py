@@ -241,19 +241,9 @@ def _channel_region():
 
 
 class TestChannelStatsAlias:
-    """Regression: the legacy ``__memory_channel__`` key must resolve to
-    channel 0 but never appear in iteration — consumers aggregating over
+    """Regression: channel stats live under indexed keys only — the old
+    ``__memory_channel__`` alias is gone, and consumers aggregating over
     ``process_stats`` used to double-count the first channel."""
-
-    def test_legacy_key_resolves_to_channel_zero(self):
-        region = _channel_region()
-        report = region.run()
-        assert (
-            report.process_stats["__memory_channel__"]
-            is report.process_stats["__memory_channel_0__"]
-        )
-        assert "__memory_channel__" in report.process_stats
-        assert report.process_stats.get("__memory_channel__") is not None
 
     def test_alias_excluded_from_iteration(self):
         region = _channel_region()
@@ -262,18 +252,17 @@ class TestChannelStatsAlias:
         assert "__memory_channel__" not in keys
         assert "__memory_channel_0__" in keys
         assert "__memory_channel_1__" in keys
-        # each ChannelStats object appears exactly once in values()
+        # each ChannelStats object appears exactly once, under its index
         channel_stats = [ch.stats for ch in region.memory_channels]
         seen = [v for v in report.process_stats.values() if v in channel_stats]
         assert len(seen) == len(channel_stats)
+        for i, stats in enumerate(channel_stats):
+            assert report.process_stats[f"__memory_channel_{i}__"] is stats
 
     def test_no_channel_no_alias(self):
         region, *_ = _pipe(count=4)
         report = region.run()
-        assert "__memory_channel__" not in report.process_stats
-        assert report.process_stats.get("__memory_channel__") is None
-        with pytest.raises(KeyError):
-            report.process_stats["__memory_channel__"]
+        assert not any(k.startswith("__memory_channel") for k in report.process_stats)
 
 
 class TestAbortPathAttribution:
@@ -324,3 +313,52 @@ class TestAbortPathAttribution:
         assert len(rebuilt) == 1
         assert rebuilt[0].cycles == direct.cycles == expected
         assert rebuilt[0].per_process == direct.per_process
+
+    @staticmethod
+    def _run_aborted_pipeline(abort):
+        """The same two aborts, spanning a two-region pipeline run under
+        the global tracer (pipelines take no explicit attribution)."""
+        from repro.core.pipes import MultiRegionRunner, Pipe, PipelineGraph
+        from repro.obs import use_tracer
+        from repro.obs.tracer import ChromeTracer
+
+        pipe = Pipe("p", depth=4)
+        producer = DataflowRegion("producer")
+        consumer = DataflowRegion("consumer")
+        if abort == "deadlock":
+            producer.add(Producer("p", pipe, 2))
+            consumer.add(Stuck("stuck", pipe))
+            expected_cycles = 3  # two producing cycles, one zero-progress
+            raises = DeadlockError
+        else:
+            producer.add(Producer("p", pipe, 1000))
+            consumer.add(Consumer("c", pipe, 1000))
+            expected_cycles = 7
+            raises = RuntimeError
+        graph = PipelineGraph("abort_pipeline")
+        graph.add_region(producer)
+        graph.add_region(consumer)
+        tracer = ChromeTracer()
+        with use_tracer(tracer), pytest.raises(raises) as excinfo:
+            MultiRegionRunner(graph).run(
+                max_cycles=7 if abort == "max_cycles" else 100
+            )
+        if abort == "deadlock":
+            assert "region 'consumer'" in str(excinfo.value)
+        return graph, tracer, expected_cycles
+
+    @pytest.mark.parametrize("abort", ["deadlock", "max_cycles"])
+    def test_pipeline_abort_trace_round_trips(self, abort):
+        from repro.obs.stall import reports_from_trace
+
+        graph, tracer, expected = self._run_aborted_pipeline(abort)
+        rebuilt = reports_from_trace(tracer.to_dict())
+        assert len(rebuilt) == 1
+        assert rebuilt[0].region == "abort_pipeline"
+        assert rebuilt[0].cycles == expected
+        stats = {p.name: p.stats for r in graph.regions for p in r.processes}
+        assert set(rebuilt[0].per_process) == set(stats)
+        # every live cycle of every process, across both regions, is
+        # attributed exactly once — none lost at the abort boundary
+        for name, counts in rebuilt[0].per_process.items():
+            assert sum(counts.values()) == stats[name].cycles

@@ -114,7 +114,7 @@ class TestScheduleProperties:
         the serialized sum."""
         cfg = _config(n_wi=4, limit_main=256, burst_words=2)
         res = DecoupledWorkItems(cfg).run()
-        chan = res.report.process_stats["__memory_channel__"]
+        chan = res.report.process_stats["__memory_channel_0__"]
         serial = sum(k.stats.cycles for k in res.kernels) + chan.busy_cycles
         assert res.cycles < 0.7 * serial
 
@@ -150,7 +150,7 @@ class TestScheduleProperties:
         slow = MemoryChannelConfig(setup_cycles=100, cycles_per_word=8)
         cfg = _config(n_wi=4, limit_main=128, channel=slow)
         res = DecoupledWorkItems(cfg).run()
-        chan = res.report.process_stats["__memory_channel__"]
+        chan = res.report.process_stats["__memory_channel_0__"]
         assert chan.busy_cycles > 0.8 * res.cycles
 
     def test_runtime_ms_uses_frequency(self):

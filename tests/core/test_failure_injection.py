@@ -101,7 +101,7 @@ class TestRecoverableFaults:
         )
         res = DecoupledWorkItems(cfg).run()
         assert res.gammas().size == 64
-        chan = res.report.process_stats["__memory_channel__"]
+        chan = res.report.process_stats["__memory_channel_0__"]
         assert chan.busy_cycles > 0.9 * res.cycles
 
     def test_limit_max_generous_enough_completes(self):

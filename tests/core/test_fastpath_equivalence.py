@@ -543,3 +543,54 @@ def test_pipeline_max_cycles_abort_identical(max_cycles):
         # there is no dead window yet; past that the guard must have
         # interrupted a genuinely skipping run
         assert fast[4] > 0
+
+
+# ---------------------------------------------------------------------------
+# pipelines share the region loop, so they gain identical attribution too
+# ---------------------------------------------------------------------------
+
+
+def cycle_spans(tracer):
+    """The ``cat="cycle"`` attribution spans of an exported trace."""
+    return [
+        e for e in tracer.to_dict()["traceEvents"] if e.get("cat") == "cycle"
+    ]
+
+
+def run_both_traced_pipelines(config):
+    """Run the pricing pipeline through both paths under a tracer."""
+    from repro.obs import use_tracer
+    from repro.obs.tracer import ChromeTracer
+
+    out = []
+    for fast in (False, True):
+        tracer = ChromeTracer()
+        with use_tracer(tracer):
+            result = run_pricing_pipeline(config, fast_path=fast)
+        out.append((result, tracer))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+def test_pipeline_instrumented_identical(name):
+    from repro.obs.stall import reports_from_trace
+
+    config = PIPELINE_CONFIGS[name]
+    (ref, ref_tracer), (fp, fp_tracer) = run_both_traced_pipelines(config)
+    assert ref.skipped_cycles == 0
+    assert fp.skipped_cycles > 0
+    ref_stall, fp_stall = ref.report.stall_report, fp.report.stall_report
+    assert ref_stall is not None
+    assert ref_stall.to_dict() == fp_stall.to_dict()
+    assert cycle_spans(ref_tracer) == cycle_spans(fp_tracer)
+    for result in (ref, fp):
+        stall = result.report.stall_report
+        assert stall.consistent_with(result.report.process_stats) == []
+    # the exported trace rebuilds the same pipeline-wide report
+    rebuilt = reports_from_trace(fp_tracer.to_dict())
+    assert [r.per_process for r in rebuilt] == [fp_stall.per_process]
+    # tracing observes the run without changing it
+    untraced = run_pricing_pipeline(config)
+    assert untraced.report.stall_report is None
+    assert fp.report.cycles == untraced.report.cycles
+    assert fp.report.stream_stats == untraced.report.stream_stats

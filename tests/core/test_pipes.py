@@ -190,6 +190,21 @@ class TestMultiRegionRunner:
         assert set(report.region_reports) == {"a", "b"}
         assert report.pipe_stats["p"]["total_writes"] == 32
 
+    def test_process_added_after_validation_ticks(self):
+        """Regression: validation is not cached, so a process added to a
+        region after the graph was inspected still ticks and finishes
+        (it used to be silently skipped while the run "succeeded")."""
+        pipe = Pipe("p", depth=16)
+        graph = PipelineGraph("late")
+        region_a = graph.add_region(_source_region("a", pipe))
+        graph.add_region(_sink_region("b", pipe))
+        assert graph.pipes == (pipe,)  # validates the graph once
+        late = region_a.add(DummySource("late_src", Stream("late", depth=8), 8))
+        report = MultiRegionRunner(graph).run()
+        assert late.done()
+        assert late.stats.iterations == 8
+        assert report.process_stats["late_src"] is late.stats
+
     def test_region_done_cycles_are_topological(self):
         result = run_pricing_pipeline(PricingPipelineConfig())
         done = result.report.region_done_cycles
@@ -222,13 +237,6 @@ class TestMultiRegionRunner:
                 f"Archive{wid}",
             } <= names
         assert "__memory_channel_0__" in names
-
-    def test_legacy_channel_alias_on_pipeline_report(self):
-        result = run_pricing_pipeline(PricingPipelineConfig())
-        stats = result.report.process_stats
-        assert (
-            stats["__memory_channel__"] is stats["__memory_channel_0__"]
-        )
 
     def test_runtime_conversion(self):
         result = run_pricing_pipeline(PricingPipelineConfig())
