@@ -1,18 +1,22 @@
 """Device worker pool: N simulated accelerators behind one dispatcher.
 
-Each :class:`DeviceWorker` wraps one :class:`repro.harness.KernelSession`
-— its own OpenCL context, in-order command queue and device timing model
-(:class:`~repro.devices.FpgaModel` for FPGA workers,
-:class:`~repro.devices.FixedArchitectureModel` for CPU/GPU/PHI) — and
-runs on its own host thread, exactly the decoupled-work-item picture
-lifted one level: independent engines fed from bounded FIFOs, stalling
-when starved, never interfering with each other's state.
+Each :class:`DeviceWorker` is a device model plus a modeled device
+clock: the device comes from the worker's
+:class:`repro.harness.KernelSession` context, its kernel timing from
+:class:`~repro.devices.FpgaModel` (FPGA workers) or
+:class:`~repro.devices.FixedArchitectureModel` (CPU/GPU/PHI).  Each
+worker runs on its own host thread, exactly the decoupled-work-item
+picture lifted one level: independent engines fed from bounded FIFOs,
+stalling when starved, never interfering with each other's state.
 
-A batch executes as one device transaction on the worker's simulated
-timeline: a single kernel enqueue covering every job in the batch
-followed by a single combined readback (§III-E device-level combining),
-so the per-transaction fixed costs — kernel launch, PCIe round-trip
-latency — amortize across the batch occupancy.
+A batch is still one §III-E device transaction on the worker's modeled
+clock: a single kernel covering every job in the batch followed by a
+single combined PCIe readback, so the per-transaction fixed costs —
+kernel launch, PCIe round-trip latency — amortize across the batch
+occupancy.  The clock advances by the same arithmetic, in the same
+order, as the in-order :class:`repro.opencl.CommandQueue` would, but
+keeps no buffers or events: a worker's memory stays flat however many
+batches it serves.
 
 The dispatcher chooses the worker per batch through a pluggable
 :class:`SchedulingPolicy`:
@@ -41,7 +45,6 @@ from repro.engine.resilience import CircuitBreaker, JobDeadlineExceeded
 from repro.harness.configs import CONFIGURATIONS, Configuration
 from repro.harness.session import KernelSession
 from repro.obs import get_tracer
-from repro.opencl import KernelHandle, MemFlag
 
 __all__ = [
     "BatchOutcome",
@@ -83,17 +86,18 @@ class DeviceWorker:
             CONFIGURATIONS[config] if isinstance(config, str) else config
         )
         self.session = KernelSession(device_name, self.configuration)
+        self.device = self.session.context.device
         if device_name == "FPGA":
             self.model: FpgaModel | FixedArchitectureModel = FpgaModel(
                 n_work_items=self.configuration.fpga_work_items
             )
         else:
-            self.model = FixedArchitectureModel(
-                self.session.context.platform.device(device_name)
-            )
+            self.model = FixedArchitectureModel(self.device)
         self.jobs_done = 0
         self.batches_done = 0
         self._timeline_lock = threading.Lock()
+        #: modeled device time at which the last batch's readback ends
+        self._device_now = 0.0
         #: explicit tracer override; None resolves the global tracer at
         #: execute() time (so `--trace` reaches pre-built workers too)
         self.tracer = None
@@ -107,7 +111,7 @@ class DeviceWorker:
     def device_busy_s(self) -> float:
         """Simulated device-timeline occupancy so far."""
         with self._timeline_lock:
-            return self.session.queue.now
+            return self._device_now
 
     def estimate_batch_seconds(self, batch: Batch) -> float:
         """Modeled cost of a batch on *this* worker (dispatch heuristic)."""
@@ -164,29 +168,32 @@ class DeviceWorker:
                 device_seconds.append(0.0)
                 errors.append(exc)
         kernel_s = sum(device_seconds)
+        nbytes = max(4, -(-batch.result_bytes() // 4) * 4)
+        read_s = (
+            self.device.pcie_latency_s
+            + nbytes / self.device.pcie_bandwidth_bps
+        )
         with self._timeline_lock:
-            queue = self.session.queue
-            t0 = queue.now
-            first_event = len(queue.events)
-            kernel = KernelHandle(
-                name=f"batch{batch.batch_id}_{self.configuration.name}",
-                body=None,
-                time_model=lambda device, ndrange, **args: kernel_s,
+            t0 = self._device_now
+            kernel_end = t0 + kernel_s
+            self._device_now = kernel_end + read_s
+            device_end = self._device_now
+        batch_device_s = device_end - t0
+        if tracer.enabled:
+            # the batch's kernel and readback spans on the modeled timeline
+            track = tracer.track(
+                "devices (modeled)", f"{self.name} [{self.device_name}]"
             )
-            queue.enqueue_task(kernel)
-            nbytes = max(4, -(-batch.result_bytes() // 4) * 4)
-            buffer = self.session.context.create_buffer(
-                f"batch{batch.batch_id}_result", nbytes, MemFlag.WRITE_ONLY
-            )
-            queue.enqueue_read_buffer(buffer)
-            batch_device_s = queue.finish() - t0
-            if tracer.enabled:
-                # per-command spans of this batch on the modeled timeline
-                queue.export_trace(
-                    tracer,
-                    process="devices (modeled)",
-                    thread=f"{self.name} [{self.device_name}]",
-                    events=queue.events[first_event:],
+            for span, command, start, end in (
+                (f"batch{batch.batch_id}_{self.configuration.name}",
+                 "task", t0, kernel_end),
+                (f"batch{batch.batch_id}_result",
+                 "read_buffer", kernel_end, device_end),
+            ):
+                tracer.complete(
+                    track, span, ts_us=start * 1e6,
+                    dur_us=(end - start) * 1e6, cat="modeled",
+                    args={"command": command},
                 )
         self.jobs_done += batch.size
         self.batches_done += 1

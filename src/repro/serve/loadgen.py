@@ -28,6 +28,7 @@ tests and the chaos run use.
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import json
 from collections import deque
@@ -684,11 +685,14 @@ def replay_trace(
     """Play a trace against a live gateway on the wall clock.
 
     Arrival timestamps are compressed by ``speedup`` (100 plays a
-    100-second trace in about a second).  Every admitted job's future
-    is awaited; nothing is left unresolved.  Returns outcome counts —
-    wall-clock latencies are *observed* here (reported for smoke-test
-    sanity), not asserted on: determinism lives in the virtual-time
-    simulator.
+    100-second trace in about a second).  Each admitted job's outcome
+    is counted, and its latency stamped, by a done-callback when its
+    future resolves, so an early finisher is timed when it finishes;
+    only still-unresolved futures are held.  After the last send the
+    replay waits up to ``max_wait_s`` for them and reports the rest as
+    ``unresolved``.  Returns outcome counts — wall-clock latencies are
+    *observed* here (reported for smoke-test sanity), not asserted on:
+    determinism lives in the virtual-time simulator.
     """
 
     async def _run() -> dict:
@@ -702,11 +706,25 @@ def replay_trace(
             "failed": 0,
         }
         latencies: list[float] = []
-        futures: list = []
+        pending: set = set()
+
+        def _resolved(due: float, future) -> None:
+            pending.discard(future)
+            if future.cancelled():
+                outcomes["failed"] += 1
+                return
+            error = future.exception()
+            if error is None:
+                outcomes["completed"] += 1
+                latencies.append(loop.time() - due)
+            elif isinstance(error, JobDeadlineExceeded):
+                outcomes["deadline_shed"] += 1
+            else:
+                outcomes["failed"] += 1
 
         async def _one(event: TraceEvent) -> None:
-            target = start + event.t / speedup
-            delay = target - loop.time()
+            due = start + event.t / speedup
+            delay = due - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             job = job_from_event(event)
@@ -721,23 +739,14 @@ def replay_trace(
             except JobQueueFull:
                 outcomes["queue_shed"] += 1
                 return
-            futures.append((event, future))
+            pending.add(future)
+            future.add_done_callback(functools.partial(_resolved, due))
 
         await asyncio.gather(*(_one(e) for e in trace))
-        for event, future in futures:
-            try:
-                await asyncio.wait_for(future, timeout=max_wait_s)
-            except JobDeadlineExceeded:
-                outcomes["deadline_shed"] += 1
-            except Exception:
-                outcomes["failed"] += 1
-            else:
-                outcomes["completed"] += 1
-                latencies.append(loop.time() - (start + event.t / speedup))
+        if pending:
+            await asyncio.wait(pending, timeout=max_wait_s)
         outcomes["latency_s"] = summarize(latencies)
-        outcomes["unresolved"] = sum(
-            0 if f.done() else 1 for _, f in futures
-        )
+        outcomes["unresolved"] = len(pending)
         return outcomes
 
     return asyncio.run(_run())

@@ -375,6 +375,9 @@ class TestRetriesEndToEnd:
             faults=plan,
             retry=RetryPolicy(max_attempts=3, base_s=0.01, jitter=0.0),
             breaker_config={"failure_threshold": 1, "cooldown_s": 30.0},
+            # the first batch goes to w0 (both backlogs empty); under
+            # fifo a fast w1 can drain the shared queue before w0 wakes
+            policy="least-loaded",
         )
         jobs = _jobs(n=12)
         with eng:

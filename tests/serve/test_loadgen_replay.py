@@ -6,6 +6,7 @@ tests pin each link of that chain — trace generation, JSON round-trip,
 shard assignment, and the virtual-time simulation itself.
 """
 
+import asyncio
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.serve.loadgen import (
     job_from_event,
     modeled_device_seconds,
     offered_load_sweep,
+    replay_trace,
     simulate_tier,
     trace_from_json,
     trace_to_json,
@@ -154,3 +156,50 @@ class TestOfferedLoadSweep:
         a = offered_load_sweep(SPEC, [0.5, 2.0], TIER)
         b = offered_load_sweep(SPEC, [0.5, 2.0], TIER)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class _TimedGateway:
+    """Fake gateway: job ``seed``'s future resolves after ``delays[seed]``.
+
+    A delay of None leaves the future unresolved.
+    """
+
+    def __init__(self, delays):
+        self.delays = delays
+
+    async def submit(self, tenant, job):
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        delay = self.delays[job.seed]
+        if delay is not None:
+            loop.call_later(delay, future.set_result, job.seed)
+        return future
+
+
+def _events(n):
+    return [
+        TraceEvent(index=i, t=0.0, tenant=1, config="Config1",
+                   variance=1.39, n_samples=64, seed=i, deadline_s=None)
+        for i in range(n)
+    ]
+
+
+class TestWallClockReplay:
+    def test_latency_is_stamped_at_resolution(self):
+        # job 0 resolves at 200 ms, job 1 at 10 ms; job 1 must not be
+        # stamped when the replay gets round to it after job 0
+        out = replay_trace(_TimedGateway({0: 0.2, 1: 0.01}), _events(2))
+        assert out["completed"] == 2
+        assert out["unresolved"] == 0
+        latency = out["latency_s"]
+        job1 = latency["count"] * latency["mean"] - latency["max"]
+        assert latency["max"] >= 0.2
+        assert job1 < 0.1
+
+    def test_unresolved_futures_are_reported_after_max_wait(self):
+        out = replay_trace(
+            _TimedGateway({0: 0.01, 1: None}), _events(2), max_wait_s=0.05
+        )
+        assert out["completed"] == 1
+        assert out["unresolved"] == 1
+        assert out["failed"] == 0
