@@ -10,13 +10,13 @@ Usage::
     python -m repro --trace out.json fig3   # + Chrome trace-event file
     python -m repro trace-report out.json   # stall-attribution table
     python -m repro --faults plan.json serve-bench   # fault injection
-    python -m repro chaos                   # the seeded resilience run
+    python -m repro chaos                   # serve-chaos on one shard
     python -m repro campaign run --db c.sqlite       # resumable campaign
     python -m repro campaign status --db c.sqlite    # row/step progress
 
-The experiment table derives from :mod:`repro.harness.registry`; new
-drivers register there (eagerly or lazily) and appear here without
-touching this module.
+The experiment table derives from :mod:`repro.harness.registry` on each
+call of :func:`main`; new drivers register there (eagerly or lazily)
+and appear here without touching this module.
 
 ``--trace`` installs a global :class:`repro.obs.ChromeTracer` for the
 run, so every instrumented layer — region cycle loops, the execution
@@ -35,21 +35,7 @@ import sys
 import time
 
 from repro.harness import registry
-
-
-def _experiments() -> dict:
-    """name → runner, resolved from the registry at call time."""
-    return registry.runners()
-
-
-# kept as a module attribute for backwards compatibility (tests and
-# downstream tooling import it); reflects the registry at import time
-EXPERIMENTS = _experiments()
-
-
-# the coercion lives in the harness now so the campaign store shares
-# it; the old private name stays importable for downstream tooling
-from repro.harness.reporting import jsonable as _jsonable  # noqa: E402
+from repro.harness.reporting import jsonable
 
 
 def result_record(name: str, result, elapsed_s: float) -> dict:
@@ -62,19 +48,19 @@ def result_record(name: str, result, elapsed_s: float) -> dict:
     headers = getattr(result, "headers", None)
     rows = getattr(result, "rows", None)
     if headers and rows:
-        record["headers"] = _jsonable(headers)
-        record["rows"] = _jsonable(rows)
+        record["headers"] = jsonable(headers)
+        record["rows"] = jsonable(rows)
         # key scalars: the first row, labelled by header — enough for
         # dashboards without shipping the full series payloads
         record["scalars"] = {
-            str(h): _jsonable(v) for h, v in zip(headers, rows[0])
+            str(h): jsonable(v) for h, v in zip(headers, rows[0])
         }
     notes = getattr(result, "notes", "")
     if notes:
         record["notes"] = notes
     series = getattr(result, "series", None)
     if series:
-        record["series"] = _jsonable(series)
+        record["series"] = jsonable(series)
     return record
 
 
@@ -158,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.campaign.cli import main as campaign_main
 
         return campaign_main(raw[1:])
-    experiments = _experiments()
+    experiments = registry.runners()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's tables and figures.",
@@ -215,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="fault-injection plan (FaultPlan JSON, see "
         "docs/resilience.md) passed to every selected experiment that "
-        "accepts a `faults` parameter (serve-bench, chaos)",
+        "accepts a `faults` parameter (serve-bench, serve-chaos, chaos)",
     )
     # intermixed: `trace-report --requests rt.json` puts an option
     # between positionals, which plain parse_args cannot re-enter
@@ -253,8 +239,8 @@ def main(argv: list[str] | None = None) -> int:
         if not fault_aware:
             parser.error(
                 "--faults requires at least one selected experiment with "
-                "a `faults` parameter (serve-bench, chaos); selected: "
-                f"{', '.join(selected)}"
+                "a `faults` parameter (serve-bench, serve-chaos, chaos); "
+                f"selected: {', '.join(selected)}"
             )
         # fail fast on an unreadable/invalid plan rather than deep
         # inside a driver (the engine is already imported: resolving

@@ -240,10 +240,22 @@ class DataflowRegion:
 
 
 def _resolve_attribution(name: str, tracer=None) -> StallAttribution | None:
-    """An attribution when ``tracer`` (default: the global one) is on."""
+    """An attribution when ``tracer`` (default: the global one) is on.
+
+    Each traced run gets its own trace process row: when the tracer
+    already holds ``name`` (an earlier run of the same region or
+    pipeline), the run is named ``name #2``, ``name #3``, ... so
+    ``trace-report`` never merges two runs into one table.
+    """
     if tracer is None:
         tracer = get_tracer()
-    return StallAttribution(name, tracer=tracer) if tracer.enabled else None
+    if not tracer.enabled:
+        return None
+    row, n = name, 1
+    while tracer.has_process(row):
+        n += 1
+        row = f"{name} #{n}"
+    return StallAttribution(row, tracer=tracer)
 
 
 def run_cycles(

@@ -15,16 +15,12 @@ scheduling policy.  See ``docs/engine.md`` for the architecture.
 * :mod:`repro.engine.resilience` — fault injection, deadlines,
   retries and circuit breakers (see ``docs/resilience.md``),
 * :mod:`repro.engine.stats` — latency/throughput accounting,
-* :mod:`repro.engine.bench` — the `serve-bench` and `chaos` drivers.
+* :mod:`repro.engine.bench` — the `serve-bench` driver (the seeded
+  `chaos` run lives with `serve-chaos` in :mod:`repro.serve.bench`).
 """
 
 from repro.engine.batcher import Batch, Batcher
-from repro.engine.bench import (
-    default_chaos_plan,
-    make_job_mix,
-    run_chaos,
-    run_serve_bench,
-)
+from repro.engine.bench import make_job_mix, run_serve_bench
 from repro.engine.engine import (
     ExecutionEngine,
     JobFailed,
@@ -90,10 +86,8 @@ __all__ = [
     "WorkerFault",
     "WorkerPool",
     "WorkerStats",
-    "default_chaos_plan",
     "make_job_mix",
     "make_policy",
-    "run_chaos",
     "run_serve_bench",
     "serial_baseline",
 ]

@@ -114,31 +114,23 @@ class Batcher:
         self.tracer = tracer
         self._track = tracer.track(process, thread) if tracer.enabled else None
 
-    def _drop_expired(self, jobs: list[Job]) -> list[Job]:
-        """Shed deadline-expired jobs; return the still-live ones."""
-        now = time.monotonic()
-        live = []
-        for job in jobs:
-            if job.expired(now):
-                if self.on_expired is not None:
-                    self.on_expired(job)
-            else:
-                live.append(job)
-        return live
+    def _shed(self, expired: list[Job]) -> None:
+        # called after get_batch returns, so outside the queue lock
+        if self.on_expired is not None:
+            for job in expired:
+                self.on_expired(job)
 
     def next_batch(self, timeout: float | None = 0.1) -> Batch | None:
         """The next coalesced batch, or None when nothing is available.
 
         Returns None on a timeout with an empty queue, once the queue
         is closed and fully drained (the shutdown signal the dispatcher
-        loop watches for), and when everything drained this round had
-        already expired (the jobs are shed via ``on_expired`` rather
-        than occupying batch slots).
+        loop watches for), and when the scan found only expired jobs
+        (they are shed via ``on_expired``; see
+        :func:`~repro.engine.queue.take_batch`).
         """
-        jobs = self.queue.get_batch(self.max_batch, timeout=timeout)
-        if not jobs:
-            return None
-        jobs = self._drop_expired(jobs)
+        jobs, expired = self.queue.get_batch(self.max_batch, timeout=timeout)
+        self._shed(expired)
         if not jobs:
             return None
         if self.linger_s > 0 and len(jobs) < self.max_batch:
@@ -155,12 +147,13 @@ class Batcher:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                more = self.queue.get_matching(
-                    key, self.max_batch - len(jobs), timeout=remaining
+                more, expired = self.queue.get_batch(
+                    self.max_batch - len(jobs), timeout=remaining, key=key
                 )
-                if not more:
+                self._shed(expired)
+                if not (more or expired):
                     break
-                jobs.extend(self._drop_expired(more))
+                jobs.extend(more)
         batch = Batch(jobs=jobs)
         if self._track is not None:
             self.tracer.instant(

@@ -1,4 +1,4 @@
-"""`serve-bench` and `chaos`: engine throughput and resilience drivers.
+"""`serve-bench`: the engine throughput driver.
 
 ``run_serve_bench`` builds a deterministic mix of gamma-draw jobs and
 runs them twice —
@@ -15,41 +15,26 @@ paper's core claim: keeping every pipeline busy and amortizing fixed
 transaction costs moves the bound from per-request latency to sustained
 throughput.
 
-``run_chaos`` runs the same job mix through a seeded
-:class:`~repro.engine.resilience.FaultPlan` — one worker killed
-mid-run, a fraction of batches wedged, a fraction of jobs failed — and
-reports how the resilience layer (deadlines, retries, circuit
-breakers) kept every job terminating with a result or a typed error.
-Both drivers accept ``faults`` as a :class:`FaultPlan`, a plan dict, or
-a path to a plan JSON file (the ``--faults PLAN.json`` CLI hook).
+It accepts ``faults`` as a :class:`~repro.engine.resilience.FaultPlan`,
+a plan dict, or a path to a plan JSON file (the ``--faults PLAN.json``
+CLI hook).  The seeded resilience run, `chaos`, is a one-shard preset
+of `serve-chaos` (:mod:`repro.serve.bench`).
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.engine.engine import ExecutionEngine, JobFailed, serial_baseline
+from repro.engine.engine import ExecutionEngine, serial_baseline
 from repro.engine.jobs import GammaJob, Job
 from repro.engine.queue import EngineError
-from repro.engine.resilience import (
-    FaultPlan,
-    FaultRule,
-    JobDeadlineExceeded,
-    RetryPolicy,
-    WorkerFault,
-)
+from repro.engine.resilience import FaultPlan, RetryPolicy
 from repro.harness.experiments import ExperimentResult
 
 __all__ = [
-    "default_chaos_plan",
     "make_job_mix",
-    "run_chaos",
     "run_serve_bench",
 ]
-
-#: environment hook the CI chaos job uses to pin the plan seed
-CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
-_DEFAULT_CHAOS_SEED = 20170529
 
 
 def _resolve_plan(faults) -> FaultPlan | None:
@@ -197,125 +182,6 @@ def run_serve_bench(
             "serial_stats": serial.to_dict(),
             "metrics": engine.metrics.snapshot(),
             "failed": dict(failed),
-        },
-        notes=stats.render(),
-    )
-
-
-def default_chaos_plan(seed: int | None = None) -> FaultPlan:
-    """The acceptance scenario: kill one of three workers mid-run,
-    wedge ~5% of batches briefly, fail ~5% of jobs.
-
-    ``seed`` defaults to the ``REPRO_CHAOS_SEED`` environment variable
-    (the CI pin) and then to a fixed constant, so a bare ``python -m
-    repro chaos`` replays the same faults every time.
-    """
-    if seed is None:
-        seed = int(os.environ.get(CHAOS_SEED_ENV, _DEFAULT_CHAOS_SEED))
-    return FaultPlan(
-        rules=[
-            # one worker dies after two batches and stays dead
-            FaultRule(scope="worker", mode="kill", match="w1", after_batches=2),
-            # ~5% of batch attempts wedge briefly (interruptible)
-            FaultRule(scope="batch", mode="wedge", probability=0.05, wedge_s=0.15),
-            # ~5% of jobs fail wherever they run (keyed on the job seed)
-            FaultRule(scope="job", mode="fail", probability=0.05),
-        ],
-        seed=seed,
-    )
-
-
-def run_chaos(
-    n_jobs: int = 96,
-    n_samples: int = 1024,
-    n_workers: int = 3,
-    max_batch: int = 8,
-    queue_depth: int = 64,
-    deadline_s: float = 20.0,
-    faults=None,
-    seed: int | None = None,
-) -> ExperimentResult:
-    """The `chaos` experiment: the engine under a seeded fault plan.
-
-    Runs the serve-bench job mix on three workers while the plan kills
-    one mid-run, wedges a fraction of batches and fails a fraction of
-    jobs, then reports how every job terminated — completed (possibly
-    after retries on a surviving worker), typed injected failure, or
-    deadline shed — plus the retry counts and per-worker breaker
-    trajectories.  Nothing hangs: that is the property the chaos test
-    suite asserts on this driver.
-    """
-    plan = _resolve_plan(faults)
-    if plan is None:
-        plan = default_chaos_plan(seed)
-        scenario = "kill w1 mid-run, 5% wedge, 5% job fail"
-    else:
-        scenario = f"custom plan, {len(plan.rules)} rules"
-    jobs = make_job_mix(n_jobs, n_samples)
-    engine = ExecutionEngine(
-        n_workers=n_workers,
-        queue_depth=queue_depth,
-        max_batch=max_batch,
-        policy="least-loaded",
-        faults=plan,
-        default_deadline_s=deadline_s,
-        breaker_config={"failure_threshold": 2, "cooldown_s": 0.2},
-    )
-    outcomes = {"completed": 0, "injected_fault": 0, "deadline_shed": 0, "other_error": 0}
-    with engine:
-        handles = []
-        for job in jobs:
-            try:
-                handles.append(engine.submit(job))
-            except EngineError:
-                outcomes["other_error"] += 1
-        for handle in handles:
-            try:
-                handle.result(timeout=60.0)
-                outcomes["completed"] += 1
-            except JobDeadlineExceeded:
-                outcomes["deadline_shed"] += 1
-            except WorkerFault:
-                outcomes["injected_fault"] += 1
-            except (JobFailed, EngineError):
-                outcomes["other_error"] += 1
-    stats = engine.stats()
-
-    terminated = sum(outcomes.values())
-    rows = [
-        [
-            n_jobs,
-            terminated,
-            outcomes["completed"],
-            outcomes["injected_fault"],
-            outcomes["deadline_shed"],
-            outcomes["other_error"],
-            stats.retries,
-            sum(
-                snap.get("times_opened", 0)
-                for snap in stats.breakers.values()
-            ),
-        ]
-    ]
-    return ExperimentResult(
-        experiment=(
-            f"chaos: {n_jobs} jobs, {n_workers} workers, fault-plan "
-            f"seed {plan.seed} ({scenario})"
-        ),
-        headers=[
-            "jobs", "terminated", "completed", "injected fault",
-            "deadline shed", "other", "retries", "breakers opened",
-        ],
-        rows=rows,
-        series={
-            "outcomes": dict(outcomes),
-            "faults_injected": dict(stats.faults_injected),
-            "breakers": {
-                name: dict(snap) for name, snap in stats.breakers.items()
-            },
-            "engine_stats": stats.to_dict(),
-            "metrics": engine.metrics.snapshot(),
-            "plan": plan.to_dict(),
         },
         notes=stats.render(),
     )

@@ -545,10 +545,12 @@ class ExecutionEngine:
             self.drain(timeout)
         else:
             while True:
-                abandoned = self.queue.get_batch(max_size=1 << 30, timeout=0.0)
-                if not abandoned:
+                batch, expired = self.queue.get_batch(
+                    max_size=1 << 30, timeout=0.0
+                )
+                if not (batch or expired):
                     break
-                for job in abandoned:
+                for job in batch + expired:
                     with self._state_lock:
                         handle = self._handles.pop(job.job_id, None)
                     if handle is not None:

@@ -27,7 +27,40 @@ __all__ = [
     "JobQueueClosed",
     "JobQueueFull",
     "SubmitTimeout",
+    "take_batch",
 ]
+
+
+def take_batch(
+    items: deque, max_size: int, now: float, key: Hashable | None = None
+) -> tuple[list, list]:
+    """Pop up to ``max_size`` items sharing one batch key; the batch rule.
+
+    The serving form of §III-E buffer combining, shared by the live
+    queue (:meth:`BoundedJobQueue.get_batch`) and the virtual tier's
+    shards (:mod:`repro.serve.loadgen`).  Items are scanned in FIFO
+    order.  An item whose ``expired(now)`` is true is popped into the
+    second list: it never fixes the key and never takes a slot.  The
+    first live item fixes the key unless ``key`` is given; items with a
+    different key go back to the front of ``items`` in their original
+    order (an expired one among them waits for a scan that reaches it).
+    Returns ``(batch, expired)``.
+    """
+    batch: list = []
+    expired: list = []
+    kept: list = []
+    while items and len(batch) < max_size:
+        item = items.popleft()
+        if key is not None and item.batch_key() != key:
+            kept.append(item)
+        elif item.expired(now):
+            expired.append(item)
+        else:
+            if key is None:
+                key = item.batch_key()
+            batch.append(item)
+    items.extendleft(reversed(kept))
+    return batch, expired
 
 
 class EngineError(RuntimeError):
@@ -186,8 +219,8 @@ class BoundedJobQueue:
 
         Both conditions are notified so that producers blocked in
         :meth:`put` raise :class:`JobQueueClosed` promptly and
-        consumers blocked in :meth:`get_batch`/:meth:`get_matching`
-        return immediately — nobody hangs until their timeout.
+        consumers blocked in :meth:`get_batch` return immediately —
+        nobody hangs until their timeout.
         """
         with self._lock:
             self._closed = True
@@ -200,110 +233,50 @@ class BoundedJobQueue:
         self,
         max_size: int = 1,
         timeout: float | None = None,
-    ) -> list[Job]:
+        key: Hashable | None = None,
+    ) -> tuple[list[Job], list[Job]]:
         """Pop a batch of *compatible* jobs (equal :meth:`Job.batch_key`).
 
-        Takes the head job, then coalesces up to ``max_size - 1`` more
-        jobs with the same key, scanning in FIFO order — the serving
-        analogue of §III-E device-level buffer combining: compatible
-        requests merge into one device transaction.  Jobs with other
-        keys keep their relative order.
+        Applies :func:`take_batch` at ``time.monotonic()`` and returns
+        its ``(batch, expired)``: up to ``max_size`` live jobs sharing
+        one key, in FIFO order — the serving analogue of §III-E
+        device-level buffer combining — plus the deadline-expired jobs
+        the scan popped, which the caller sheds.  With ``key`` only
+        jobs of that key are taken (the linger path: top up an open
+        batch without disturbing other work).
 
-        Returns ``[]`` once the queue is closed and drained, or when
-        ``timeout`` elapses with nothing available (an empty poll is
-        tallied as a read stall, mirroring ``Stream.can_read``).
+        Waits up to ``timeout`` for something to take.  Returns
+        ``([], [])`` once the queue is closed and drained, or when the
+        timeout elapses (an empty poll is tallied as a read stall,
+        mirroring ``Stream.can_read``).
         """
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
         with self._not_empty:
-            if not self._fifo:
-                if self._closed:
-                    return []
+            batch, expired = take_batch(
+                self._fifo, max_size, time.monotonic(), key
+            )
+            if not (batch or expired or self._closed):
                 self.read_stalls += 1
                 # monotonic deadline (the same pattern as put): each
-                # spurious or irrelevant wakeup resumes the *remaining*
-                # wait instead of restarting the full timeout, and an
-                # early wakeup with nothing available keeps waiting
-                # instead of returning a premature empty poll
+                # spurious wakeup, or one for a job of another key,
+                # resumes the *remaining* wait instead of restarting
+                # the full timeout or returning a premature empty poll
                 deadline = (
                     None if timeout is None else time.monotonic() + timeout
                 )
-                while not self._fifo and not self._closed:
-                    remaining = (
-                        None if deadline is None else deadline - time.monotonic()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        return []
-                    self._not_empty.wait(remaining)
-                if not self._fifo:
-                    return []
-            head = self._fifo.popleft()
-            batch = [head]
-            if max_size > 1:
-                key: Hashable = head.batch_key()
-                keep: deque[Job] = deque()
-                while self._fifo and len(batch) < max_size:
-                    job = self._fifo.popleft()
-                    if job.batch_key() == key:
-                        batch.append(job)
-                    else:
-                        keep.append(job)
-                keep.extend(self._fifo)
-                self._fifo = keep
-            self.total_reads += len(batch)
-            self._emit_occupancy()
-            self._not_full.notify_all()
-            return batch
-
-    def get_matching(
-        self,
-        key: Hashable,
-        max_size: int,
-        timeout: float | None = None,
-    ) -> list[Job]:
-        """Pop up to ``max_size`` jobs whose batch key equals ``key``.
-
-        Unlike :meth:`get_batch` this never disturbs non-matching jobs
-        (the head included) — it is the linger path: top up an open
-        batch with late-arriving compatible work.  Returns ``[]`` when
-        nothing compatible shows up within ``timeout``.
-        """
-        if max_size < 1:
-            raise ValueError("max_size must be >= 1")
-        with self._not_empty:
-            matched = self._take_matching(key, max_size)
-            if not matched and not self._closed:
-                self.read_stalls += 1
-                # monotonic-deadline retry loop: wakeups for
-                # non-matching jobs (or spurious ones) resume the
-                # remaining wait rather than restarting the timeout or
-                # giving up early with a premature empty result
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                while not matched and not self._closed:
+                while not (batch or expired or self._closed):
                     remaining = (
                         None if deadline is None else deadline - time.monotonic()
                     )
                     if remaining is not None and remaining <= 0:
                         break
                     self._not_empty.wait(remaining)
-                    matched = self._take_matching(key, max_size)
-            if matched:
-                self.total_reads += len(matched)
+                    batch, expired = take_batch(
+                        self._fifo, max_size, time.monotonic(), key
+                    )
+            if batch or expired:
+                self.total_reads += len(batch) + len(expired)
                 self._emit_occupancy()
                 self._not_full.notify_all()
-            return matched
-
-    def _take_matching(self, key: Hashable, max_size: int) -> list[Job]:
-        matched: list[Job] = []
-        keep: deque[Job] = deque()
-        while self._fifo and len(matched) < max_size:
-            job = self._fifo.popleft()
-            if job.batch_key() == key:
-                matched.append(job)
-            else:
-                keep.append(job)
-        keep.extend(self._fifo)
-        self._fifo = keep
-        return matched
+            return batch, expired

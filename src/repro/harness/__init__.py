@@ -38,9 +38,9 @@ registry.register_lazy(
 )
 registry.register_lazy(
     "chaos",
-    "repro.engine.bench:run_chaos",
-    "engine resilience under a seeded fault plan "
-    "(deadlines, retries, circuit breakers)",
+    "repro.serve.bench:run_chaos",
+    "serve-chaos on one 3-worker shard: resilience under a seeded "
+    "fault plan (deadlines, retries, circuit breakers)",
 )
 registry.register_lazy(
     "fifo-prune",

@@ -73,6 +73,10 @@ class Tracer:
         """Register (or look up) the lane for one actor."""
         return _NULL_TRACK
 
+    def has_process(self, process: str) -> bool:
+        """True once a track of ``process`` exists (a trace process row)."""
+        return False
+
     # -- event emission ----------------------------------------------------------
 
     def complete(
@@ -176,6 +180,10 @@ class ChromeTracer(Tracer):
                 }
             )
             return track
+
+    def has_process(self, process: str) -> bool:
+        with self._lock:
+            return process in self._pids
 
     # -- events ------------------------------------------------------------------
 

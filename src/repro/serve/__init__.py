@@ -38,7 +38,6 @@ from repro.serve.loadgen import (
     TraceEvent,
     VirtualChaos,
     WorkloadSpec,
-    default_virtual_chaos,
     generate_trace,
     job_from_event,
     offered_load_sweep,
@@ -68,7 +67,6 @@ __all__ = [
     "VirtualChaos",
     "WorkloadSpec",
     "default_serve_chaos_plan",
-    "default_virtual_chaos",
     "generate_trace",
     "job_from_event",
     "offered_load_sweep",

@@ -1,4 +1,4 @@
-"""`serve-tier` and `serve-chaos`: serving-layer experiment drivers.
+"""`serve-tier`, `serve-chaos` and `chaos`: serving-layer experiment drivers.
 
 ``run_serve_tier`` is the latency-baseline recorder: it sweeps offered
 load over the same seeded heavy-tailed workload and reports, per step,
@@ -19,18 +19,20 @@ replaying a time-compressed trace while a seeded
 batches.  The claim it checks is graceful degradation: every admitted
 job resolves (result or typed error — zero unresolved handles), sheds
 are typed, and routing reroutes around shards whose breakers opened.
+``run_chaos`` is its one-shard preset: three workers behind one queue,
+the engine-level resilience scenario.
 """
 
 from __future__ import annotations
 
-from repro.engine.bench import _resolve_plan, default_chaos_plan
+from repro.engine.bench import _resolve_plan
 from repro.engine.resilience import FaultPlan, FaultRule
 from repro.harness.experiments import ExperimentResult
 from repro.serve.gateway import AdmissionGateway, TenantPolicy
 from repro.serve.loadgen import (
     TierSpec,
+    VirtualChaos,
     WorkloadSpec,
-    default_virtual_chaos,
     generate_trace,
     offered_load_sweep,
     replay_trace,
@@ -40,6 +42,7 @@ from repro.serve.sharding import ShardedEngine
 __all__ = [
     "DEFAULT_LOAD_MULTIPLIERS",
     "default_serve_chaos_plan",
+    "run_chaos",
     "run_serve_tier",
     "run_serve_chaos",
 ]
@@ -93,9 +96,7 @@ def run_serve_tier(
         tenant_policy=TenantPolicy(rate=tenant_rate, burst=tenant_burst),
         spill=spill,
     )
-    chaos = (
-        default_virtual_chaos(chaos_seed) if chaos_seed is not None else None
-    )
+    chaos = VirtualChaos(seed=chaos_seed) if chaos_seed is not None else None
     steps = offered_load_sweep(spec, list(multipliers), tier, chaos=chaos)
     rows = [
         [
@@ -175,20 +176,19 @@ def run_serve_tier(
     )
 
 
-def default_serve_chaos_plan(seed: int | None = None) -> FaultPlan:
+def default_serve_chaos_plan(seed: int = 20170529) -> FaultPlan:
     """Tier-scale faults: kill a worker on shard 0, wedge ~5% of batches.
 
     Worker names are per-shard (``s0w1`` is shard 0's second worker),
     so the kill degrades exactly one shard — the case consistent-hash
     rerouting and breaker-aware routing exist for.
     """
-    base = default_chaos_plan(seed)
     rules = [
         FaultRule(scope="worker", mode="kill", match="s0w1", after_batches=1),
         FaultRule(scope="batch", mode="wedge", probability=0.05, wedge_s=0.05),
         FaultRule(scope="job", mode="fail", probability=0.03),
     ]
-    return FaultPlan(rules=rules, seed=base.seed)
+    return FaultPlan(rules=rules, seed=seed)
 
 
 def run_serve_chaos(
@@ -204,9 +204,9 @@ def run_serve_chaos(
 ) -> ExperimentResult:
     """Replay a trace against a live faulted tier; prove graceful decay.
 
-    Accepts ``faults`` as a plan/dict/path like the engine's chaos
-    driver.  The acceptance claim is in the last row: zero unresolved
-    futures after drain.
+    Accepts ``faults`` as a plan/dict/path like ``serve-bench``.  The
+    acceptance claim is in the last row: zero unresolved futures after
+    drain.
     """
     plan = _resolve_plan(faults) or default_serve_chaos_plan(seed)
     # small payloads: the wall-clock replay really computes them
@@ -279,4 +279,18 @@ def run_serve_chaos(
             f"{breakers_opened} breaker openings rerouted traffic "
             "around the degraded shard."
         ),
+    )
+
+
+def run_chaos(faults=None) -> ExperimentResult:
+    """The `chaos` preset: :func:`run_serve_chaos` on one shard.
+
+    Three workers behind one queue, deep enough that no job is shed as
+    queue-full, so every job meets the plan: the default plan kills
+    ``s0w1``, wedges batches and fails jobs, and every job still ends
+    in a result or a typed error.
+    """
+    return run_serve_chaos(
+        n_jobs=96, n_shards=1, workers_per_shard=3, queue_depth=96,
+        faults=faults,
     )

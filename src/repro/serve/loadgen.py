@@ -11,9 +11,10 @@ Two halves, sharing one trace format:
 * :func:`simulate_tier` runs a trace through a **virtual-time model**
   of the sharded tier: the *same* policy objects the live tier uses
   (the consistent-hash ring for shard assignment, the token-bucket
-  admission contract) plus an event-driven G/G/c-with-batching queue
-  per shard, all clocked by the trace's arrival timestamps instead of
-  the host.  Latency percentiles, shed rates and throughput out of the
+  admission contract, the :func:`~repro.engine.queue.take_batch` batch
+  rule) plus an event-driven G/G/c-with-batching queue per shard, all
+  clocked by the trace's arrival timestamps instead of the host.
+  Latency percentiles, shed rates and throughput out of the
   simulator are pure functions of ``(trace, tier spec)`` — the property
   that lets ``BENCH_serving.json`` be byte-reproducible, exactly like
   the engine's modeled-device-timeline throughput is immune to host
@@ -38,7 +39,7 @@ import numpy as np
 
 from repro.devices import FpgaModel
 from repro.engine.jobs import GammaJob
-from repro.engine.queue import JobQueueFull
+from repro.engine.queue import JobQueueFull, take_batch
 from repro.engine.resilience import JobDeadlineExceeded
 from repro.harness.configs import CONFIGURATIONS
 from repro.obs import get_request_log
@@ -52,7 +53,6 @@ __all__ = [
     "TraceEvent",
     "TierSpec",
     "VirtualChaos",
-    "default_virtual_chaos",
     "generate_trace",
     "trace_to_json",
     "trace_from_json",
@@ -124,6 +124,11 @@ class TraceEvent:
     def batch_key(self):
         """Mirror of :meth:`GammaJob.batch_key` — used for routing."""
         return ("gamma", self.config, self.variance)
+
+    def expired(self, now: float) -> bool:
+        """True once the deadline has passed — :meth:`Job.expired` on
+        the virtual clock."""
+        return self.deadline_s is not None and now >= self.t + self.deadline_s
 
 
 def generate_trace(spec: WorkloadSpec) -> list[TraceEvent]:
@@ -241,11 +246,6 @@ class VirtualChaos:
             / 2.0**64
         )
         return draw < self.fail_rate
-
-
-def default_virtual_chaos(seed: int = 0) -> VirtualChaos:
-    """The chaos plan the serving benchmark runs under."""
-    return VirtualChaos(seed=seed)
 
 
 _MODEL_CACHE: dict[str, FpgaModel] = {}
@@ -437,35 +437,11 @@ class _Shard:
             start = max(free_at, finish + self.chaos.backoff_s)
 
     def _form_batch(self, start: float) -> list[TraceEvent]:
-        """Head job + every compatible waiter, capped at ``max_batch``.
-
-        Mirrors the live queue's ``get_matching``: the head fixes the
-        key, later waiters join regardless of position, order is
-        preserved.  Jobs whose deadline passed before service start are
-        shed here — the same point the live worker sheds them.
-        """
-        batch: list[TraceEvent] = []
-        while self.waiting and not batch:
-            head = self.waiting.popleft()
-            if self._expired(head, start):
-                self._shed_deadline(head, start)
-                continue
-            batch.append(head)
-        if not batch:
-            return batch
-        key = batch[0].batch_key()
-        kept: deque = deque()
-        while self.waiting and len(batch) < self.spec.max_batch:
-            e = self.waiting.popleft()
-            if e.batch_key() != key:
-                kept.append(e)
-                continue
-            if self._expired(e, start):
-                self._shed_deadline(e, start)
-                continue
-            batch.append(e)
-        kept.extend(self.waiting)
-        self.waiting = kept
+        """The live batch rule (:func:`~repro.engine.queue.take_batch`)
+        at service start; the expired events it pops are shed here."""
+        batch, expired = take_batch(self.waiting, self.spec.max_batch, start)
+        for event in expired:
+            self._shed_deadline(event, start)
         return batch
 
     def _shed_deadline(self, event: TraceEvent, t: float) -> None:
@@ -476,13 +452,6 @@ class _Shard:
                 "request", "deadline", t=t, status="shed",
                 terminal=True, latency_s=t - event.t, shard=self.name,
             )
-
-    @staticmethod
-    def _expired(event: TraceEvent, now: float) -> bool:
-        return (
-            event.deadline_s is not None
-            and now >= event.t + event.deadline_s
-        )
 
 
 #: slowest-K size for the always-computed p99 exemplar rows

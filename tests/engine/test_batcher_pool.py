@@ -1,5 +1,7 @@
 """Batcher coalescing and worker-pool scheduling policies."""
 
+import time
+
 import pytest
 
 from repro.engine import (
@@ -19,6 +21,23 @@ from repro.engine.pool import (
 
 def _job(seed=1, variance=1.39, n=64):
     return GammaJob(n_samples=n, seed=seed, variance=variance)
+
+
+def _expired(job):
+    job.deadline_at = time.monotonic() - 1.0
+    return job
+
+
+def _drain(batcher):
+    """Seeds of every batch ``batcher`` forms until its queue is empty."""
+    batcher.queue.close()
+    batches = []
+    while True:
+        batch = batcher.next_batch(timeout=0.0)
+        if batch is not None:
+            batches.append([j.seed for j in batch.jobs])
+        elif not len(batcher.queue):
+            return batches
 
 
 class TestBatcher:
@@ -66,6 +85,72 @@ class TestBatcher:
     def test_batch_requires_jobs(self):
         with pytest.raises(ValueError):
             Batch(jobs=[])
+
+    def test_expired_head_does_not_fix_the_key(self):
+        q = BoundedJobQueue(depth=8)
+        for job in (_expired(_job(1, 1.39)), _job(2, 0.35), _job(3, 1.39)):
+            q.put(job)
+        shed = []
+        batcher = Batcher(q, max_batch=4, on_expired=shed.append)
+        assert _drain(batcher) == [[2], [3]]
+        assert [j.seed for j in shed] == [1]
+
+    def test_expired_job_does_not_take_a_slot(self):
+        q = BoundedJobQueue(depth=8)
+        for job in (_job(1), _expired(_job(2)), _job(3)):
+            q.put(job)
+        batcher = Batcher(q, max_batch=2, on_expired=lambda job: None)
+        assert batcher.next_batch().jobs[1].seed == 3
+        assert not len(q)
+
+    def test_expired_job_of_another_key_waits_for_its_scan(self):
+        q = BoundedJobQueue(depth=8)
+        for job in (_job(1, 1.39), _expired(_job(2, 0.35)), _job(3, 2.3)):
+            q.put(job)
+        shed = []
+        batcher = Batcher(q, max_batch=4, on_expired=shed.append)
+        assert [j.seed for j in batcher.next_batch().jobs] == [1]
+        assert shed == [] and len(q) == 2  # the 1.39 scan passed it by
+        # the next scan reaches it first: shed, and the batch behind it
+        # forms in the same call
+        assert [j.seed for j in batcher.next_batch(timeout=0.0).jobs] == [3]
+        assert [j.seed for j in shed] == [2]
+
+    def test_on_expired_sees_each_expired_job_once(self):
+        # two keys, every third job expired: each job lands exactly
+        # once, an expired one in on_expired and a live one in a full
+        # batch (no slot goes to a job that is then dropped)
+        q = BoundedJobQueue(depth=16)
+        for i, variance in enumerate([1.39, 0.35] * 6):
+            job = _job(i, variance)
+            q.put(_expired(job) if i % 3 == 0 else job)
+        shed = []
+        batcher = Batcher(q, max_batch=2, on_expired=shed.append)
+        assert _drain(batcher) == [[1, 5], [2, 4], [7, 11], [8, 10]]
+        assert sorted(j.seed for j in shed) == [0, 3, 6, 9]
+
+    def test_linger_sheds_expired_arrivals_and_keeps_waiting(self):
+        import threading
+
+        q = BoundedJobQueue(depth=8)
+        for job in (_job(1), _job(2, 0.35), _expired(_job(3)), _job(4)):
+            q.put(job)
+
+        def late_producer():
+            time.sleep(0.03)
+            q.put(_expired(_job(5)))
+            q.put(_job(6))
+
+        t = threading.Thread(target=late_producer, daemon=True)
+        t.start()
+        shed = []
+        batcher = Batcher(q, max_batch=3, linger_s=2.0, on_expired=shed.append)
+        batch = batcher.next_batch()
+        t.join(2.0)
+        assert not t.is_alive()
+        assert [j.seed for j in batch.jobs] == [1, 4, 6]
+        assert [j.seed for j in shed] == [3, 5]
+        assert [j.seed for j in q.get_batch(4)[0]] == [2]
 
 
 class TestPolicies:

@@ -5,9 +5,8 @@ killed mid-run by the plan, ~5% of batches wedged, ~5% of jobs failed.
 The properties asserted — every submitted job terminates with a result
 or a typed error, no engine thread survives shutdown, breaker
 transitions land in the exported metrics and trace — are the
-acceptance criteria of the fault-injection PR, marked ``chaos`` so CI
-can run them as a dedicated job (``pytest -m chaos``) with a pinned
-``REPRO_CHAOS_SEED``.
+acceptance criteria of the fault-injection layer, marked ``chaos`` so
+CI can run them as a dedicated job (``pytest -m chaos``).
 """
 
 import threading
@@ -22,10 +21,9 @@ from repro.engine import (
     FaultRule,
     GammaJob,
     RetryPolicy,
-    default_chaos_plan,
-    run_chaos,
 )
 from repro.obs import ChromeTracer
+from repro.serve.bench import run_chaos
 
 pytestmark = pytest.mark.chaos
 
@@ -140,21 +138,18 @@ class TestChaosRun:
         assert run_once() == run_once()
 
     def test_run_chaos_driver_reports_full_termination(self):
-        result = run_chaos(n_jobs=48, n_samples=256, seed=SEED)
+        # the `chaos` preset: serve-chaos on one shard of three workers
+        result = run_chaos()
         row = dict(zip(result.headers, result.rows[0]))
-        assert row["terminated"] == row["jobs"] == 48
+        assert row["jobs"] == 96
+        assert row["unresolved"] == 0
         assert row["completed"] > 0
-        outcomes = result.series["outcomes"]
-        assert sum(outcomes.values()) == 48
+        accounted = ("completed", "throttled", "queue shed",
+                     "deadline shed", "failed")
+        assert sum(row[k] for k in accounted) == 96
         assert result.series["faults_injected"]["kill"] == 1
-        assert "w1" in result.series["breakers"]
+        assert "s0w1" in result.series["tier"]["shards"]["shard0"]["breakers"]
         assert result.series["plan"]["seed"] == SEED
-
-    def test_default_plan_honors_seed_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "12345")
-        assert default_chaos_plan().seed == 12345
-        monkeypatch.delenv("REPRO_CHAOS_SEED")
-        assert default_chaos_plan(seed=7).seed == 7
 
     def test_wedged_worker_cannot_outlive_shutdown(self):
         # a 30s wedge on every batch: shutdown must still complete

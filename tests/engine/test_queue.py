@@ -29,7 +29,7 @@ class TestAdmission:
         job = _job()
         q.put(job)
         assert q.occupancy == 1
-        assert q.get_batch(1) == [job]
+        assert q.get_batch(1) == ([job], [])
         assert q.occupancy == 0
 
     def test_shed_policy_raises_typed_error(self):
@@ -97,40 +97,50 @@ class TestBatchDrain:
         b = _job(9, variance=0.35)
         for job in (a[0], a[1], b, a[2]):
             q.put(job)
-        batch = q.get_batch(max_size=4)
+        batch, _ = q.get_batch(max_size=4)
         assert batch == a  # same-key jobs coalesce across the stranger
-        assert q.get_batch(max_size=4) == [b]
+        assert q.get_batch(max_size=4) == ([b], [])
 
     def test_get_batch_respects_max_size(self):
         q = BoundedJobQueue(depth=8)
         jobs = [_job(i) for i in range(5)]
         for job in jobs:
             q.put(job)
-        assert q.get_batch(max_size=2) == jobs[:2]
-        assert q.get_batch(max_size=2) == jobs[2:4]
+        assert q.get_batch(max_size=2) == (jobs[:2], [])
+        assert q.get_batch(max_size=2) == (jobs[2:4], [])
 
     def test_closed_and_empty_returns_empty(self):
         q = BoundedJobQueue(depth=2)
         q.close()
-        assert q.get_batch(1, timeout=0.01) == []
+        assert q.get_batch(1, timeout=0.01) == ([], [])
 
     def test_close_leaves_pending_readable(self):
         q = BoundedJobQueue(depth=2)
         job = _job()
         q.put(job)
         q.close()
-        assert q.get_batch(1) == [job]
-        assert q.get_batch(1, timeout=0.01) == []
+        assert q.get_batch(1) == ([job], [])
+        assert q.get_batch(1, timeout=0.01) == ([], [])
 
-    def test_get_matching_skips_other_keys(self):
+    def test_get_batch_with_key_skips_other_keys(self):
         q = BoundedJobQueue(depth=8)
         a = _job(1, variance=1.39)
         b = _job(2, variance=0.35)
         q.put(a)
         q.put(b)
-        got = q.get_matching(b.batch_key(), max_size=2, timeout=0.01)
-        assert got == [b]
-        assert q.get_batch(1) == [a]  # untouched, order preserved
+        got = q.get_batch(max_size=2, timeout=0.01, key=b.batch_key())
+        assert got == ([b], [])
+        assert q.get_batch(1) == ([a], [])  # untouched, order preserved
+
+    def test_expired_jobs_return_separately_and_count_as_reads(self):
+        q = BoundedJobQueue(depth=8)
+        live, dead = _job(1), _job(2)
+        dead.deadline_at = time.monotonic() - 1.0
+        q.put(dead)
+        q.put(live)
+        assert q.get_batch(max_size=4) == ([live], [dead])
+        assert q.stats.total_reads == 2
+        assert q.occupancy == 0
 
 
 class TestWaitDeadlines:
@@ -138,8 +148,8 @@ class TestWaitDeadlines:
     holds one monotonic deadline across wakeups instead of restarting
     (or abandoning) its timeout on each one."""
 
-    def test_get_matching_waits_through_non_matching_puts(self):
-        # the old single-wait get_matching returned [] as soon as ANY
+    def test_keyed_get_batch_waits_through_non_matching_puts(self):
+        # a single-wait keyed read would return empty as soon as ANY
         # put woke it, even one with the wrong key — a reader asking
         # for key B must keep waiting until B arrives or time runs out
         q = BoundedJobQueue(depth=8)
@@ -147,7 +157,8 @@ class TestWaitDeadlines:
         got = []
 
         def reader():
-            got.extend(q.get_matching(b.batch_key(), max_size=1, timeout=2.0))
+            batch, _ = q.get_batch(1, timeout=2.0, key=b.batch_key())
+            got.extend(batch)
 
         t = threading.Thread(target=reader, daemon=True)
         t.start()
@@ -165,7 +176,7 @@ class TestWaitDeadlines:
         got = []
 
         def reader():
-            got.extend(q.get_batch(1, timeout=2.0))
+            got.extend(q.get_batch(1, timeout=2.0)[0])
 
         t = threading.Thread(target=reader, daemon=True)
         t.start()
@@ -194,7 +205,7 @@ class TestWaitDeadlines:
         t = threading.Thread(target=poker, daemon=True)
         t.start()
         t0 = time.monotonic()
-        assert q.get_batch(1, timeout=0.15) == []
+        assert q.get_batch(1, timeout=0.15) == ([], [])
         elapsed = time.monotonic() - t0
         stop.set()
         t.join(2.0)
@@ -240,7 +251,7 @@ class TestWaitDeadlines:
 
         def consumer():
             outcomes.append(
-                ("consumer", q.get_matching(absent_key, 1, timeout=10.0))
+                ("consumer", q.get_batch(1, timeout=10.0, key=absent_key))
             )
 
         threads = [
@@ -257,7 +268,7 @@ class TestWaitDeadlines:
         assert time.monotonic() - t0 < 1.0  # woken by close, not timeout
         assert not any(t.is_alive() for t in threads)
         assert "producer-closed" in outcomes
-        assert ("consumer", []) in outcomes
+        assert ("consumer", ([], [])) in outcomes
 
 
 class TestSharedFifoAccounting:

@@ -102,6 +102,30 @@ class TestTraceRoundTrip:
         assert rebuilt.channel_busy_cycles == live.channel_busy_cycles
         assert rebuilt.overlap_cycles == live.overlap_cycles
 
+    def test_repeated_pipeline_runs_get_their_own_reports(self):
+        # two traced runs of one graph name used to share a trace
+        # process row, so trace-report summed them into one table with
+        # the channel busy for more cycles than the table spans
+        from repro.core.pricing import (
+            PricingPipelineConfig,
+            build_pricing_pipeline,
+        )
+
+        tracer = ChromeTracer()
+        with use_tracer(tracer):
+            live = [
+                build_pricing_pipeline(PricingPipelineConfig()).runner.run()
+                for _ in range(2)
+            ]
+        rebuilt = reports_from_trace(tracer.to_dict())
+        assert [r.region for r in rebuilt] == [
+            "pricing_pipeline", "pricing_pipeline #2"
+        ]
+        for report, run in zip(rebuilt, live):
+            assert report.cycles == run.cycles
+            assert all(b <= report.cycles for b in report.channel_busy_cycles)
+            assert report.per_process == run.stall_report.per_process
+
     def test_engine_only_trace_has_no_reports(self):
         tracer = ChromeTracer()
         tracer.complete(tracer.track("engine", "jobs"), "job1", 0, 5)

@@ -6,14 +6,15 @@ import sys
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
+from repro.harness import registry
 
 
 class TestMainFunction:
     def test_list(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in registry.experiment_names():
             assert name in out
 
     def test_single_experiment(self, capsys):
@@ -36,11 +37,11 @@ class TestMainFunction:
         out = capsys.readouterr().out
         assert "samples" in out and "plateau" in out
 
-    def test_experiments_derive_from_registry(self):
-        from repro.harness import registry
-
-        assert list(EXPERIMENTS) == registry.experiment_names()
-        assert "serve-bench" in EXPERIMENTS
+    def test_experiments_derive_from_registry(self, capsys):
+        assert main(["--list"]) == 0
+        listed = capsys.readouterr().out.split()
+        assert listed == registry.experiment_names()
+        assert "serve-bench" in listed
 
 
 class TestJsonOutput:
