@@ -1,9 +1,10 @@
 """``DecoupledWorkItems`` — the paper's headline pattern (Listing 1).
 
 Builds N fully decoupled work-items inside one dataflow region: per
-work-item a :class:`~repro.core.kernel.GammaRNGProcess` (compute) wired
-by a blocking stream to a :class:`~repro.core.transfer.TransferEngine`
-(memory), all transfer engines sharing the single
+work-item a :class:`~repro.core.kernel.GammaRNGProcess` (compute, built
+by :func:`~repro.core.lanes.gamma_process`) wired by a blocking stream
+to a :class:`~repro.core.transfer.TransferEngine` (memory), all
+transfer engines sharing the single
 :class:`~repro.core.memory.MemoryChannel` into device
 :class:`~repro.core.memory.GlobalMemory`.
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro.core.dataflow import DataflowRegion, RegionReport
 from repro.core.kernel import GammaKernelConfig, GammaRNGProcess
+from repro.core.lanes import gamma_process
 from repro.core.memory import (
     GlobalMemory,
     MemoryChannel,
@@ -52,20 +54,17 @@ class DecoupledConfig:
     # memory controller" extension its conclusion suggests
     n_channels: int = 1
     #: run each work-item's MAINLOOP math in vectorized numpy blocks
-    #: (:mod:`repro.core.lanes`) — bit-identical results, fewer Python
-    #: cycles per tick; marsaglia_bray only
-    vector_lanes: bool = False
+    #: (:mod:`repro.core.lanes`) wherever the transform has lanes
+    #: (marsaglia_bray) — bit-identical results, less host time per
+    #: tick.  ``False`` builds the scalar kernel for every work-item:
+    #: the differential oracle the lanes are checked against.
+    vector_lanes: bool = True
 
     def __post_init__(self):
         if self.n_work_items < 1:
             raise ValueError("need at least one work-item")
         if self.n_channels < 1:
             raise ValueError("need at least one memory channel")
-        if self.vector_lanes and self.kernel.transform != "marsaglia_bray":
-            raise ValueError(
-                "vector_lanes supports the marsaglia_bray transform only "
-                f"(got {self.kernel.transform!r})"
-            )
         values_per_burst = self.burst_words * FLOATS_PER_WORD
         if self.kernel.limit_main % values_per_burst:
             raise ValueError(
@@ -162,14 +161,15 @@ class DecoupledWorkItems:
         icdf = (
             IcdfFpga() if config.kernel.transform == "icdf_fpga" else None
         )
-        if config.vector_lanes:
-            from repro.core.lanes import VectorGammaRNGProcess as kernel_cls
-        else:
-            kernel_cls = GammaRNGProcess
         for wid in range(config.n_work_items):
             stream = Stream(f"gammaStream{wid}", depth=config.stream_depth)
-            kernel = kernel_cls(
-                f"GammaRNG{wid}", wid, config.kernel, stream, icdf_table=icdf
+            kernel = gamma_process(
+                f"GammaRNG{wid}",
+                wid,
+                config.kernel,
+                stream,
+                icdf_table=icdf,
+                lanes=config.vector_lanes,
             )
             engine = TransferEngine(
                 f"Transfer{wid}",

@@ -2,10 +2,10 @@
 
 :class:`~repro.core.kernel.GammaRNGProcess` advances one MAINLOOP
 iteration per Python ``tick()`` — faithful, but the per-iteration
-Python cost dominates large sweeps.  This module batches the iteration
-*mathematics* into numpy lane vectors while leaving the *cycle
-semantics* (blocking writes, II bubbles, sector advances, fast-path
-hints) untouched:
+Python cost dominates every simulation that runs the kernel.  This
+module batches the iteration *mathematics* into numpy lane vectors
+while leaving the *cycle semantics* (blocking writes, II bubbles,
+sector advances, fast-path hints) untouched:
 
 * :class:`GammaLaneStream` precomputes blocks of MAINLOOP iteration
   outcomes — ``(ok, wrote, value, bubble_cycles)`` records plus sector
@@ -15,7 +15,13 @@ hints) untouched:
 * :class:`VectorGammaRNGProcess` is a drop-in
   :class:`~repro.core.kernel.GammaRNGProcess` whose ``tick`` consumes
   one precomputed record per cycle instead of running the scalar
-  pipeline.
+  pipeline;
+* :func:`gamma_process` is the one construction point for a gamma
+  work-item.  :class:`~repro.core.decoupled.DecoupledWorkItems` and
+  every pricing network (:mod:`repro.core.pricing`) build through it,
+  so lanes run wherever the transform has them (``marsaglia_bray``)
+  and the scalar kernel runs for the other transforms and as the
+  differential oracle (``lanes=False``).
 
 Bit-identity contract
 ---------------------
@@ -48,10 +54,19 @@ from repro.rng.gamma import marsaglia_tsang_constants
 from repro.rng.icdf import IcdfFpga
 from repro.rng.uniform import uint_to_float, uint_to_symmetric
 
-__all__ = ["GammaLaneStream", "VectorGammaRNGProcess", "DEFAULT_BLOCK"]
+__all__ = [
+    "GammaLaneStream",
+    "VectorGammaRNGProcess",
+    "DEFAULT_BLOCK",
+    "gamma_process",
+]
 
 #: MAINLOOP iterations precomputed per refill.
 DEFAULT_BLOCK = 256
+
+#: The one uniform→normal transform the lanes replay (the paper's
+#: Table I FPGA design); every other transform runs the scalar kernel.
+LANE_TRANSFORM = "marsaglia_bray"
 
 #: Sector-advance marker in the record stream (the exit-check tick that
 #: consumes no RNG words).
@@ -106,9 +121,9 @@ class GammaLaneStream:
     """
 
     def __init__(self, config: GammaKernelConfig, facades, block: int = DEFAULT_BLOCK):
-        if config.transform != "marsaglia_bray":
+        if config.transform != LANE_TRANSFORM:
             raise ValueError(
-                "vectorized lanes support the marsaglia_bray transform "
+                f"vectorized lanes support the {LANE_TRANSFORM} transform "
                 f"only (got {config.transform!r}); use the scalar kernel"
             )
         self._cfg = config
@@ -333,3 +348,25 @@ class VectorGammaRNGProcess(GammaRNGProcess):
         self._k += 1
         self._stall_budget = self.config.ii - 1 + bubbles
         return self._account(True)
+
+
+def gamma_process(
+    name: str,
+    wid: int,
+    config: GammaKernelConfig,
+    sink: Stream,
+    icdf_table: IcdfFpga | None = None,
+    *,
+    lanes: bool = True,
+) -> GammaRNGProcess:
+    """Build one gamma work-item; the only place that picks its class.
+
+    :class:`VectorGammaRNGProcess` when ``lanes`` is set and the
+    transform is ``marsaglia_bray``, the scalar
+    :class:`~repro.core.kernel.GammaRNGProcess` otherwise.  Both
+    produce bit-identical cycles, stream traffic and values, so
+    ``lanes=False`` is the differential oracle, not a different model.
+    """
+    if lanes and config.transform == LANE_TRANSFORM:
+        return VectorGammaRNGProcess(name, wid, config, sink, icdf_table)
+    return GammaRNGProcess(name, wid, config, sink, icdf_table)

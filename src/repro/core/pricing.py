@@ -22,8 +22,14 @@ configuration:
 
 Per work-item the stages are:
 
-1. :class:`~repro.core.kernel.GammaRNGProcess` streams validated gamma
-   variates (the per-sector variance is the sector's volatility);
+1. a gamma work-item streams validated gamma variates (the per-sector
+   variance is the sector's volatility).
+   :func:`~repro.core.lanes.gamma_process` builds it, so the
+   ``marsaglia_bray`` kernel runs as
+   :class:`~repro.core.lanes.VectorGammaRNGProcess` lanes in every mode
+   and the other transforms run the scalar
+   :class:`~repro.core.kernel.GammaRNGProcess`.  Tests substitute
+   ``gamma_process`` in this module to build the scalar oracle;
 2. :class:`PricingProcess` reads each variate, prices a call-style
    payoff ``discount * max(gamma - strike, 0)``, and forks the result:
    the price goes down the priced pipe, the raw variate down a local
@@ -52,6 +58,7 @@ import numpy as np
 from repro.core.dataflow import DataflowRegion, RegionReport
 from repro.core.decoupled import DEFAULT_FREQUENCY_HZ
 from repro.core.kernel import GammaKernelConfig, GammaRNGProcess
+from repro.core.lanes import gamma_process
 from repro.core.memory import (
     GlobalMemory,
     MemoryChannel,
@@ -128,7 +135,6 @@ class PricingProcess(Process):
         self._emitted = 0
         self._pending: list[tuple[Stream, float]] = []
         self._done = False
-        self.prices: list[float] = []
         # fast-path hints describe THIS tick implementation; a subclass
         # overriding tick() falls back to the reference loop
         self._hintable = type(self).tick is PricingProcess.tick
@@ -209,7 +215,6 @@ class PricingProcess(Process):
             return self._account(False)
         value = self.source.read()
         priced = self.price(value)
-        self.prices.append(priced)
         self._emitted += 1
         self.stats.iterations += 1
         for sink, token in (
@@ -362,7 +367,7 @@ def _build(
         priced = link_cls(f"pricedPipe{wid}", depth=depth)
         raw = Stream(f"rawStream{wid}", depth=config.stream_depth)
         kernels.append(
-            GammaRNGProcess(f"GammaRNG{wid}", wid, config.kernel, gamma)
+            gamma_process(f"GammaRNG{wid}", wid, config.kernel, gamma)
         )
         pricers.append(
             PricingProcess(

@@ -28,14 +28,14 @@ __all__ = [
 ]
 
 #: The depth-sensitive configuration the fifo_sizing tests sweep —
-#: vectorized lanes + the short Mersenne Twister keep one simulation
-#: cheap enough that pruning headroom, not Python overhead, dominates.
+#: the default vectorized lanes + the short Mersenne Twister keep one
+#: simulation cheap enough that pruning headroom, not Python overhead,
+#: dominates.
 PRUNE_BASE_CONFIG = DecoupledConfig(
     n_work_items=2,
     kernel=GammaKernelConfig(mt_params=MT521_PARAMS, limit_main=128),
     burst_words=2,
     channel=MemoryChannelConfig(setup_cycles=40, cycles_per_word=2),
-    vector_lanes=True,
 )
 
 PRUNE_DEPTHS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)

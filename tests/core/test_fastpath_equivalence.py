@@ -19,6 +19,8 @@ knobs that change cycle accounting (``dependence_false``,
 ``use_delayed_counter``, ``adapted_mt``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.dataflow import DataflowRegion, DeadlockError
@@ -142,9 +144,19 @@ FIG3_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FIG3_CONFIGS))
-def test_fig3_configs_identical_reports(name):
-    config = FIG3_CONFIGS[name]
+#: each Fig 3 config twice: id ``name`` on the scalar kernel
+#: (``vector_lanes=False``, the lanes' oracle, which the default no
+#: longer builds) and id ``name-lanes`` on the default lanes
+FIG3_CASES = [
+    pytest.param(name, lanes, id=f"{name}-lanes" if lanes else name)
+    for name in sorted(FIG3_CONFIGS)
+    for lanes in (False, True)
+]
+
+
+@pytest.mark.parametrize("name, vector_lanes", FIG3_CASES)
+def test_fig3_configs_identical_reports(name, vector_lanes):
+    config = dataclasses.replace(FIG3_CONFIGS[name], vector_lanes=vector_lanes)
     (ref_items, ref_res), (fp_items, fp_res) = run_both_decoupled(config)
     assert report_fields(ref_res.report) == report_fields(fp_res.report)
     assert channel_fields(ref_items.region) == channel_fields(fp_items.region)

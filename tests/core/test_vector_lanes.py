@@ -1,25 +1,42 @@
 """Differential bit-identity: vectorized lanes vs the scalar kernel.
 
 The contract of :mod:`repro.core.lanes` is *bit-for-bit equivalence*:
-``DecoupledConfig(vector_lanes=True)`` must produce the same device
-memory contents, the same ``RegionReport`` (cycles, per-process
-buckets, stream counters), the same RNG statistics, and the same
-produced values as the scalar ``GammaRNGProcess`` — across sector
-counts, exit-condition styles, gated-MT ablations, ``break_id`` depths,
-and Mersenne-Twister parameterizations.
+the lanes that :func:`~repro.core.lanes.gamma_process` builds by
+default must produce the same device memory contents, the same
+reports (cycles, per-process buckets, stream counters), the same RNG
+statistics, and the same produced values as the scalar
+``GammaRNGProcess`` that ``DecoupledConfig(vector_lanes=False)`` builds
+— across sector counts, exit-condition styles, gated-MT ablations,
+``break_id`` depths, and Mersenne-Twister parameterizations.  The
+pricing network gets the same check in all three of its modes, with
+its scalar side built by substituting the construction point.
+
+Every comparison asserts the class each side built, so it can never
+compare lanes with lanes.
 """
 
 import dataclasses
+from functools import partial
 
 import pytest
 
+import repro.core.pricing as pricing
 from repro.core.decoupled import DecoupledConfig, DecoupledWorkItems
-from repro.core.kernel import GammaKernelConfig
-from repro.core.lanes import GammaLaneStream, VectorGammaRNGProcess
+from repro.core.kernel import TRANSFORMS, GammaKernelConfig, GammaRNGProcess
+from repro.core.lanes import GammaLaneStream, VectorGammaRNGProcess, gamma_process
+from repro.core.pricing import run_pricing_pipeline
 from repro.core.stream import Stream
 from repro.rng.mersenne import MT521_PARAMS
 
-from .test_fastpath_equivalence import channel_fields, report_fields
+from .test_fastpath_equivalence import (
+    PIPELINE_CONFIGS,
+    channel_fields,
+    pipeline_report_fields,
+    report_fields,
+)
+
+#: the four facade twisters of one gamma work-item (Fig 4)
+MT_ROLES = ("mt_norm_a", "mt_norm_b", "mt_reject", "mt_correct")
 
 LANE_CONFIGS = {
     "default": DecoupledConfig(
@@ -63,11 +80,36 @@ LANE_CONFIGS = {
 }
 
 
+def assert_built(kernels, cls):
+    assert kernels and all(type(k) is cls for k in kernels), [
+        type(k).__name__ for k in kernels
+    ]
+
+
+def kernel_fields(kernel):
+    """Produced values (exact floats), iteration counters and the
+    steps/held gating counters of every facade twister."""
+    return (
+        kernel.produced,
+        kernel.attempts,
+        kernel.accepts,
+        kernel.overrun_iterations,
+        [
+            (getattr(kernel, role).steps, getattr(kernel, role).held)
+            for role in MT_ROLES
+        ],
+    )
+
+
 def run_pair(config, fast_path=True):
-    scalar = DecoupledWorkItems(config)
+    scalar = DecoupledWorkItems(
+        dataclasses.replace(config, vector_lanes=False)
+    )
     vector = DecoupledWorkItems(
         dataclasses.replace(config, vector_lanes=True)
     )
+    assert_built(scalar.kernels, GammaRNGProcess)
+    assert_built(vector.kernels, VectorGammaRNGProcess)
     return (
         (scalar, scalar.run(fast_path=fast_path)),
         (vector, vector.run(fast_path=fast_path)),
@@ -82,13 +124,10 @@ def test_lane_configs_bit_identical(name):
     assert (
         s_res.memory.as_float_array() == v_res.memory.as_float_array()
     ).all()
+    assert [kernel_fields(k) for k in s_items.kernels] == [
+        kernel_fields(k) for k in v_items.kernels
+    ]
     for s_k, v_k in zip(s_items.kernels, v_items.kernels):
-        assert s_k.produced == v_k.produced  # exact float equality
-        assert (s_k.attempts, s_k.accepts, s_k.overrun_iterations) == (
-            v_k.attempts,
-            v_k.accepts,
-            v_k.overrun_iterations,
-        )
         assert s_k.measured_rejection_rate == v_k.measured_rejection_rate
 
 
@@ -96,7 +135,7 @@ def test_gated_twister_statistics_identical():
     """steps/held of every facade twister match the scalar gating."""
     (s_items, _), (v_items, _) = run_pair(LANE_CONFIGS["default"])
     for s_k, v_k in zip(s_items.kernels, v_items.kernels):
-        for role in ("mt_norm_a", "mt_norm_b", "mt_reject", "mt_correct"):
+        for role in MT_ROLES:
             s_mt, v_mt = getattr(s_k, role), getattr(v_k, role)
             assert (s_mt.steps, s_mt.held) == (v_mt.steps, v_mt.held)
             assert s_mt.hold_fraction == v_mt.hold_fraction
@@ -114,9 +153,8 @@ def test_vector_lanes_on_reference_loop_identical():
 
 def test_vector_process_keeps_fast_path_hints():
     """The overridden tick re-arms the inherited hints: runs still skip."""
-    vector = DecoupledWorkItems(
-        dataclasses.replace(LANE_CONFIGS["depth1_streams"], vector_lanes=True)
-    )
+    vector = DecoupledWorkItems(LANE_CONFIGS["depth1_streams"])
+    assert_built(vector.kernels, VectorGammaRNGProcess)
     vector.run()
     assert vector.region.skipped_cycles > 0
 
@@ -124,20 +162,33 @@ def test_vector_process_keeps_fast_path_hints():
 def test_vector_lanes_instrumented_run_consistent():
     from repro.obs.stall import StallAttribution
 
-    vector = DecoupledWorkItems(
-        dataclasses.replace(LANE_CONFIGS["default"], vector_lanes=True)
-    )
+    vector = DecoupledWorkItems(LANE_CONFIGS["default"])
+    assert_built(vector.kernels, VectorGammaRNGProcess)
     attribution = StallAttribution(vector.region.name)
     report = vector.region.run(attribution=attribution)
     assert report.stall_report.consistent_with(report.process_stats) == []
 
 
 def test_vector_lanes_rejects_other_transforms():
-    with pytest.raises(ValueError, match="marsaglia_bray"):
-        DecoupledConfig(
-            n_work_items=1,
-            kernel=GammaKernelConfig(transform="icdf_fpga", limit_main=64),
-            vector_lanes=True,
+    """Lanes replay marsaglia_bray only.  At the default every other
+    transform builds the scalar kernel; ``vector_lanes=False`` builds
+    the scalar kernel for every transform."""
+    for transform in TRANSFORMS:
+        config = DecoupledConfig(
+            n_work_items=2,
+            kernel=GammaKernelConfig(transform=transform, limit_main=64),
+        )
+        assert_built(
+            DecoupledWorkItems(config).kernels,
+            VectorGammaRNGProcess
+            if transform == "marsaglia_bray"
+            else GammaRNGProcess,
+        )
+        assert_built(
+            DecoupledWorkItems(
+                dataclasses.replace(config, vector_lanes=False)
+            ).kernels,
+            GammaRNGProcess,
         )
     with pytest.raises(ValueError, match="marsaglia_bray"):
         GammaLaneStream(
@@ -159,3 +210,37 @@ def test_vector_process_direct_construction():
         cycle += 1
     assert proc.outputs_produced == 64
     assert len(proc.produced) == 64
+
+
+# ---------------------------------------------------------------------------
+# the pricing network: lanes vs the substituted scalar construction point
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["pipelined", "fused", "sequential"])
+@pytest.mark.parametrize("name", sorted(PIPELINE_CONFIGS))
+def test_pricing_network_lanes_bit_identical(name, mode, monkeypatch):
+    """Every pricing mode: lanes == the scalar kernel, field for field."""
+    config = PIPELINE_CONFIGS[name]
+    lanes = run_pricing_pipeline(config, mode=mode)
+    monkeypatch.setattr(
+        pricing, "gamma_process", partial(gamma_process, lanes=False)
+    )
+    scalar = run_pricing_pipeline(config, mode=mode)
+    assert_built(lanes.build.kernels, VectorGammaRNGProcess)
+    assert_built(scalar.build.kernels, GammaRNGProcess)
+
+    fields = report_fields if mode == "fused" else pipeline_report_fields
+    assert fields(scalar.report) == fields(lanes.report)
+    assert scalar.skipped_cycles == lanes.skipped_cycles
+    assert [vars(c.stats) for c in scalar.build.channels] == [
+        vars(c.stats) for c in lanes.build.channels
+    ]
+    assert (
+        scalar.memory.as_float_array().tobytes()
+        == lanes.memory.as_float_array().tobytes()
+    )
+    assert scalar.aggregate_totals == lanes.aggregate_totals  # exact floats
+    assert [kernel_fields(k) for k in scalar.build.kernels] == [
+        kernel_fields(k) for k in lanes.build.kernels
+    ]

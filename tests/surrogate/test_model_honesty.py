@@ -38,7 +38,6 @@ def _cfg(**kw):
     return DecoupledConfig(
         kernel=GammaKernelConfig(**kernel),
         channel=channel,
-        vector_lanes=True,
         **kw,
     )
 

@@ -34,7 +34,6 @@ BASE = DecoupledConfig(
     kernel=GammaKernelConfig(mt_params=MT521_PARAMS, limit_main=128),
     burst_words=2,
     channel=MemoryChannelConfig(setup_cycles=40, cycles_per_word=2),
-    vector_lanes=True,
 )
 
 

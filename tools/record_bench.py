@@ -4,7 +4,7 @@
 Measures, on the current machine:
 
 * cycle-simulator throughput (cycles/second) with the scalar kernels
-  and with the vectorized numpy lanes (``vector_lanes=True``),
+  (``vector_lanes=False``) and with the default vectorized numpy lanes,
 * the cycle-skipping fast path's wall-clock speedup on the channel-bound
   Fig 7 workload (reference loop vs skipping loop),
 * exhaustive vs surrogate-pruned FIFO-sizing sweep wall time,
@@ -60,7 +60,8 @@ def _best_of(fn, n=3):
 def bench_lane_throughput() -> dict:
     """Scalar vs vectorized simulation of the same decoupled region."""
     from repro.core.decoupled import DecoupledConfig, DecoupledWorkItems
-    from repro.core.kernel import GammaKernelConfig
+    from repro.core.kernel import GammaKernelConfig, GammaRNGProcess
+    from repro.core.lanes import VectorGammaRNGProcess
 
     config = DecoupledConfig(
         n_work_items=6,
@@ -69,13 +70,18 @@ def bench_lane_throughput() -> dict:
         ),
     )
     scalar_s, scalar = _best_of(
-        lambda: DecoupledWorkItems(config).run()
+        lambda: DecoupledWorkItems(
+            dataclasses.replace(config, vector_lanes=False)
+        ).run()
     )
     vector_s, vector = _best_of(
         lambda: DecoupledWorkItems(
             dataclasses.replace(config, vector_lanes=True)
         ).run()
     )
+    # a lanes-vs-lanes ratio would pass every check below
+    assert {type(k) for k in scalar.kernels} == {GammaRNGProcess}
+    assert {type(k) for k in vector.kernels} == {VectorGammaRNGProcess}
     assert vector.cycles == scalar.cycles, "lanes must be bit-identical"
     return {
         "cycles": scalar.cycles,
