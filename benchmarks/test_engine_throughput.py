@@ -2,22 +2,18 @@
 
 The acceptance experiment for `repro.engine`: the same deterministic
 job mix runs (a) serially — one device, one job per transaction, the
-pre-engine host behaviour — and (b) through the engine with batching
-and a pool of >= 2 device workers.  Throughput is compared on the
-modeled device timeline (jobs per simulated device-second of makespan),
-which is deterministic across hosts; the pytest-benchmark timing tracks
-the real host-side orchestration cost.
+pre-engine host behaviour, run as the engine with one worker and
+``max_batch=1`` — and (b) through the engine with batching and a pool
+of >= 2 device workers.  Throughput is compared on the modeled device
+timeline (jobs per simulated device-second of makespan), which is
+deterministic across hosts; the pytest-benchmark timing tracks the
+real host-side orchestration cost.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    ExecutionEngine,
-    make_job_mix,
-    run_serve_bench,
-    serial_baseline,
-)
+from repro.engine import ExecutionEngine, make_job_mix, run_serve_bench
 
 N_JOBS = 48
 N_SAMPLES = 1024
@@ -25,7 +21,8 @@ N_SAMPLES = 1024
 
 @pytest.fixture(scope="module")
 def serial_stats():
-    return serial_baseline(make_job_mix(N_JOBS, N_SAMPLES))
+    stats, _ = _engine_stats(n_workers=1, max_batch=1)
+    return stats
 
 
 def _engine_stats(n_workers=2, max_batch=8, policy="fifo"):

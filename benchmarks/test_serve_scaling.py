@@ -25,7 +25,7 @@ from repro.serve import (
     simulate_tier,
 )
 
-#: Past the single-shard knee (~2.9k jobs/s at 2 workers) by ~2x, so
+#: Past the single-shard knee (~4.0k jobs/s at 2 workers) by ~1.5x, so
 #: the tier is shedding and throughput measures capacity, not arrivals.
 SATURATION_SPEC = WorkloadSpec(seed=20170529, n_jobs=3000, rate_jps=6000.0)
 

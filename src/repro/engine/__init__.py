@@ -21,12 +21,7 @@ scheduling policy.  See ``docs/engine.md`` for the architecture.
 
 from repro.engine.batcher import Batch, Batcher
 from repro.engine.bench import make_job_mix, run_serve_bench
-from repro.engine.engine import (
-    ExecutionEngine,
-    JobFailed,
-    JobHandle,
-    serial_baseline,
-)
+from repro.engine.engine import ExecutionEngine, JobFailed, JobHandle
 from repro.engine.jobs import GammaJob, Job, JobResult, PortfolioJob
 from repro.engine.pool import (
     BatchOutcome,
@@ -89,5 +84,4 @@ __all__ = [
     "make_job_mix",
     "make_policy",
     "run_serve_bench",
-    "serial_baseline",
 ]

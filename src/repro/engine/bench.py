@@ -4,7 +4,8 @@
 runs them twice —
 
 1. **serial** — one device, one job per transaction (the host behaviour
-   every pre-engine experiment in this repo uses), then
+   every pre-engine experiment in this repo uses): the engine itself
+   with one worker and ``max_batch=1``, then
 2. **engine** — bounded admission, batching, N device workers —
 
 and reports job throughput on the modeled device timeline (jobs per
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import os
 
-from repro.engine.engine import ExecutionEngine, serial_baseline
+from repro.engine.engine import ExecutionEngine
 from repro.engine.jobs import GammaJob, Job
 from repro.engine.queue import EngineError
 from repro.engine.resilience import FaultPlan, RetryPolicy
@@ -94,10 +95,11 @@ def run_serve_bench(
     jobs that did complete.
     """
     plan = _resolve_plan(faults)
-    serial_jobs = make_job_mix(n_jobs, n_samples)
     engine_jobs = make_job_mix(n_jobs, n_samples)
 
-    serial = serial_baseline(serial_jobs)
+    with ExecutionEngine(n_workers=1, max_batch=1) as serial_engine:
+        serial_results = serial_engine.run(make_job_mix(n_jobs, n_samples))
+    serial = serial_engine.stats()
 
     engine = ExecutionEngine(
         n_workers=n_workers,
@@ -127,10 +129,10 @@ def run_serve_bench(
     import numpy as np
 
     by_id = {r.job_id: r.payload for r in results}
-    for s_job, e_job in zip(serial_jobs, engine_jobs):
+    for s_result, e_job in zip(serial_results, engine_jobs):
         if e_job.job_id not in by_id:
             continue  # failed/shed under the fault plan
-        if not np.array_equal(s_job.compute(), by_id[e_job.job_id]):
+        if not np.array_equal(s_result.payload, by_id[e_job.job_id]):
             raise AssertionError(
                 "engine payload diverged from the serial payload "
                 f"for seed {e_job.seed}"

@@ -57,7 +57,7 @@ from repro.engine.resilience import (
 from repro.engine.stats import EngineStats, JobRecord, WorkerStats, summarize
 from repro.obs import MetricsRegistry, get_tracer
 
-__all__ = ["ExecutionEngine", "JobFailed", "JobHandle", "serial_baseline"]
+__all__ = ["ExecutionEngine", "JobFailed", "JobHandle"]
 
 
 class JobFailed(EngineError):
@@ -916,63 +916,3 @@ class ExecutionEngine:
             ],
             trace_sampling=trace_sampling,
         )
-
-
-def serial_baseline(
-    jobs: Sequence[Job],
-    device: str = "FPGA",
-    config: str = "Config1",
-) -> EngineStats:
-    """One-job-at-a-time execution on a single device, no batching.
-
-    The pre-engine host behaviour (build a session, run one enqueue to
-    completion, repeat) against which the engine's batching +
-    multi-device throughput is measured, on the same modeled timeline.
-    """
-    worker = DeviceWorker("serial", device_name=device, config=config)
-    records: list[JobRecord] = []
-    t0 = time.monotonic()
-    for job in jobs:
-        submit = time.monotonic()
-        outcome = worker.execute(Batch(jobs=[job]))
-        if outcome.errors[0] is not None:
-            raise JobFailed(
-                f"job {job.job_id} failed: {outcome.errors[0]}"
-            ) from outcome.errors[0]
-        records.append(
-            JobRecord(
-                job_id=job.job_id,
-                worker=worker.name,
-                batch_id=outcome.batch.batch_id,
-                batch_size=1,
-                queue_wait_s=0.0,
-                service_s=outcome.service_wall_s,
-                total_s=time.monotonic() - submit,
-                device_seconds=outcome.batch_device_seconds,
-            )
-        )
-    busy = worker.device_busy_s
-    return EngineStats(
-        jobs_completed=len(records),
-        jobs_shed=0,
-        batches=len(records),
-        mean_batch_occupancy=1.0 if records else 0.0,
-        max_batch_occupancy=1 if records else 0,
-        queue_wait_s=summarize([0.0] * len(records)),
-        service_s=summarize([r.service_s for r in records]),
-        total_s=summarize([r.total_s for r in records]),
-        wall_seconds=time.monotonic() - t0,
-        modeled_makespan_s=busy,
-        modeled_device_seconds=busy,
-        queue=BoundedJobQueue(depth=1, name="serial_noqueue").stats,
-        workers=[
-            WorkerStats(
-                name=worker.name,
-                device=worker.device_name,
-                jobs=worker.jobs_done,
-                batches=worker.batches_done,
-                device_busy_s=busy,
-            )
-        ],
-        records=records,
-    )

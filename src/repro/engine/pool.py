@@ -13,10 +13,12 @@ A batch is still one §III-E device transaction on the worker's modeled
 clock: a single kernel covering every job in the batch followed by a
 single combined PCIe readback, so the per-transaction fixed costs —
 kernel launch, PCIe round-trip latency — amortize across the batch
-occupancy.  The clock advances by the same arithmetic, in the same
-order, as the in-order :class:`repro.opencl.CommandQueue` would, but
-keeps no buffers or events: a worker's memory stays flat however many
-batches it serves.
+occupancy.  :func:`batch_service_seconds` prices that transaction for
+both serving tiers: the live worker here and the virtual shard of
+:func:`repro.serve.loadgen.simulate_tier`.  The clock advances by the
+same arithmetic, in the same order, as the in-order
+:class:`repro.opencl.CommandQueue` would, but keeps no buffers or
+events: a worker's memory stays flat however many batches it serves.
 
 The dispatcher chooses the worker per batch through a pluggable
 :class:`SchedulingPolicy`:
@@ -36,7 +38,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.devices import FixedArchitectureModel, FpgaModel
 from repro.engine.batcher import Batch
@@ -45,14 +47,34 @@ from repro.engine.resilience import CircuitBreaker, JobDeadlineExceeded
 from repro.harness.configs import CONFIGURATIONS, Configuration
 from repro.harness.session import KernelSession
 from repro.obs import get_tracer
+from repro.opencl.platform import Device
 
 __all__ = [
     "BatchOutcome",
     "DeviceWorker",
     "SchedulingPolicy",
     "WorkerPool",
+    "batch_service_seconds",
     "make_policy",
 ]
+
+
+def batch_service_seconds(
+    device: Device, kernel_seconds: Iterable[float], result_bytes: int
+) -> tuple[float, float]:
+    """Modeled cost of one §III-E batch transaction on ``device``.
+
+    Returns ``(kernel_s, read_s)``: the jobs' kernel seconds back to
+    back, then one PCIe read of the combined result buffer, padded to
+    whole 4-byte words.  A live :class:`DeviceWorker` advances its
+    clock by the kernel, then the read; a virtual shard holds its
+    worker for their sum.
+    """
+    nbytes = max(4, -(-result_bytes // 4) * 4)
+    return (
+        sum(kernel_seconds),
+        device.pcie_latency_s + nbytes / device.pcie_bandwidth_bps,
+    )
 
 
 @dataclass
@@ -114,8 +136,17 @@ class DeviceWorker:
             return self._device_now
 
     def estimate_batch_seconds(self, batch: Batch) -> float:
-        """Modeled cost of a batch on *this* worker (dispatch heuristic)."""
-        return sum(job.device_seconds(self.model) for job in batch.jobs)
+        """Modeled cost of a batch on *this* worker (dispatch heuristic).
+
+        The same kernel-plus-readback bill :meth:`execute` charges, so a
+        pending estimate adds to :attr:`device_busy_s` like for like.
+        """
+        kernel_s, read_s = batch_service_seconds(
+            self.device,
+            (job.device_seconds(self.model) for job in batch.jobs),
+            batch.result_bytes(),
+        )
+        return kernel_s + read_s
 
     # -- execution ---------------------------------------------------------------
 
@@ -167,11 +198,8 @@ class DeviceWorker:
                 payloads.append(None)
                 device_seconds.append(0.0)
                 errors.append(exc)
-        kernel_s = sum(device_seconds)
-        nbytes = max(4, -(-batch.result_bytes() // 4) * 4)
-        read_s = (
-            self.device.pcie_latency_s
-            + nbytes / self.device.pcie_bandwidth_bps
+        kernel_s, read_s = batch_service_seconds(
+            self.device, device_seconds, batch.result_bytes()
         )
         with self._timeline_lock:
             t0 = self._device_now

@@ -77,9 +77,10 @@ def run_serve_tier(
     default run exercises the full resilience surface: one spill hop
     around full shards and the default
     :class:`~repro.serve.loadgen.VirtualChaos` plan (seeded batch
-    failures with retry-on-next-worker), so the recorded baseline's
-    retry/spill counts and p99 exemplars are living regression
-    subjects, not zeros.  ``chaos_seed=None`` disables fault injection.
+    failures, each retried on a worker that has not failed it), so the
+    recorded baseline's retry/spill counts and p99 exemplars are living
+    regression subjects, not zeros.  ``chaos_seed=None`` disables fault
+    injection.
     """
     spec = WorkloadSpec(
         seed=seed,
@@ -158,7 +159,6 @@ def run_serve_tier(
                 "workers_per_shard": workers_per_shard,
                 "queue_depth": queue_depth,
                 "max_batch": max_batch,
-                "batch_overhead_s": tier.batch_overhead_s,
                 "spill": spill,
             },
             "chaos": (

@@ -12,7 +12,8 @@ Two halves, sharing one trace format:
   of the sharded tier: the *same* policy objects the live tier uses
   (the consistent-hash ring for shard assignment, the token-bucket
   admission contract, the :func:`~repro.engine.queue.take_batch` batch
-  rule) plus an event-driven G/G/c-with-batching queue per shard, all
+  rule, the :func:`~repro.engine.pool.batch_service_seconds` batch
+  cost) plus an event-driven G/G/c-with-batching queue per shard, all
   clocked by the trace's arrival timestamps instead of the host.
   Latency percentiles, shed rates and throughput out of the
   simulator are pure functions of ``(trace, tier spec)`` — the property
@@ -37,11 +38,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.devices import FpgaModel
 from repro.engine.jobs import GammaJob
+from repro.engine.pool import DeviceWorker, batch_service_seconds
 from repro.engine.queue import JobQueueFull, take_batch
 from repro.engine.resilience import JobDeadlineExceeded
-from repro.harness.configs import CONFIGURATIONS
 from repro.obs import get_request_log
 from repro.obs.percentiles import summarize
 from repro.obs.rtrace import derive_trace_id
@@ -207,10 +207,6 @@ class TierSpec:
     workers_per_shard: int = 2
     queue_depth: int = 64
     max_batch: int = 8
-    #: fixed per-batch dispatch cost (host→device setup + readback floor),
-    #: the millisecond-scale transaction overhead §III-E amortizes
-    #: across coalesced jobs
-    batch_overhead_s: float = 0.002
     tenant_policy: TenantPolicy = field(default_factory=TenantPolicy)
     ring_replicas: int = 64
     ring_seed: int = 0
@@ -229,8 +225,9 @@ class VirtualChaos:
     of the same trace inject byte-identical faults, and a chain's retry
     spans replay exactly.  A failed attempt burns its full service time
     on the worker (the live engine's wasted work), then the batch
-    re-dispatches on the next free worker after ``backoff_s``; after
-    ``max_attempts`` the jobs fail terminally.
+    re-dispatches after ``backoff_s`` on a worker that has not failed it
+    (the live ``Batch.avoid`` rule); after ``max_attempts`` the jobs
+    fail terminally.
     """
 
     seed: int = 0
@@ -248,34 +245,13 @@ class VirtualChaos:
         return draw < self.fail_rate
 
 
-_MODEL_CACHE: dict[str, FpgaModel] = {}
-_RATE_CACHE: dict[tuple, float] = {}
-
-
-def modeled_device_seconds(event: TraceEvent) -> float:
-    """Modeled kernel time of one event.
-
-    Same estimate :meth:`GammaJob.device_seconds` produces on an FPGA
-    worker, computed without constructing the job (the simulator only
-    needs timing, never payloads); models and rejection rates are cached
-    per configuration.
-    """
-    model = _MODEL_CACHE.get(event.config)
-    if model is None:
-        model = FpgaModel(
-            n_work_items=CONFIGURATIONS[event.config].fpga_work_items
-        )
-        _MODEL_CACHE[event.config] = model
-    rate_key = (event.config, event.variance)
-    rejection = _RATE_CACHE.get(rate_key)
-    if rejection is None:
-        rejection = job_from_event(event).rejection_rate()
-        _RATE_CACHE[rate_key] = rejection
-    return model.estimate(event.n_samples, 1, rejection).seconds
-
-
 class _Shard:
     """Event-driven G/G/c queue with batch-key coalescing.
+
+    Each batch holds a virtual worker for what a live worker bills it:
+    :func:`~repro.engine.pool.batch_service_seconds` on the device and
+    model of ``pricing``, a :class:`~repro.engine.pool.DeviceWorker`
+    built as the live tier builds its workers.
 
     ``ctxs`` maps trace-event index → :class:`repro.obs.TraceContext`
     (empty when request tracing is off): every lifecycle point —
@@ -287,11 +263,13 @@ class _Shard:
     def __init__(
         self,
         spec: TierSpec,
+        pricing: DeviceWorker,
         name: str = "shard",
         chaos: VirtualChaos | None = None,
         ctxs: dict | None = None,
     ):
         self.spec = spec
+        self.pricing = pricing
         self.name = name
         self.chaos = chaos
         self.ctxs = ctxs if ctxs is not None else {}
@@ -344,9 +322,13 @@ class _Shard:
                 continue  # everything at the head was deadline-dead
             self._batch_seq += 1
             seq = self._batch_seq
-            service = self.spec.batch_overhead_s + sum(
-                modeled_device_seconds(e) for e in batch
+            jobs = [job_from_event(e) for e in batch]
+            kernel_s, read_s = batch_service_seconds(
+                self.pricing.device,
+                (job.device_seconds(self.pricing.model) for job in jobs),
+                sum(job.result_bytes() for job in jobs),
             )
+            service = kernel_s + read_s
             self.batches += 1
             self.batch_jobs += len(batch)
             for e in batch:
@@ -377,11 +359,12 @@ class _Shard:
 
         Returns ``(finish, worker)`` of the final attempt.  Each failed
         attempt burns its service time on the worker that ran it, then
-        the batch re-dispatches after ``backoff_s`` on the next free
-        worker — a *different* one when the shard has more than one,
-        matching the live retry policy's avoid set.
+        the batch re-dispatches after ``backoff_s`` on the earliest-free
+        worker that has not failed it yet, or the earliest-free worker
+        once all have: the live pool's ``Batch.avoid`` rule.
         """
         attempt = 1
+        failed_on = set()
         while True:
             finish = start + service
             self.busy_s += service
@@ -427,13 +410,15 @@ class _Shard:
                         "retry", "retry_scheduled", t=finish,
                         attempt=attempt, delay_s=self.chaos.backoff_s,
                     )
+            failed_on.add(worker)
             heapq.heappush(self.free, (finish, worker))
-            free_at, next_worker = heapq.heappop(self.free)
-            if next_worker == worker and self.free:
-                alt_at, alt_worker = heapq.heappop(self.free)
-                heapq.heappush(self.free, (free_at, next_worker))
-                free_at, next_worker = alt_at, alt_worker
-            worker = next_worker
+            slot = min(
+                (s for s in self.free if s[1] not in failed_on),
+                default=self.free[0],
+            )
+            self.free.remove(slot)
+            heapq.heapify(self.free)
+            free_at, worker = slot
             start = max(free_at, finish + self.chaos.backoff_s)
 
     def _form_batch(self, start: float) -> list[TraceEvent]:
@@ -491,8 +476,9 @@ def simulate_tier(
         seed=tier.ring_seed,
     )
     ctxs: dict = {}
+    pricing = DeviceWorker("virtual")
     shards = {
-        name: _Shard(tier, name=name, chaos=chaos, ctxs=ctxs)
+        name: _Shard(tier, pricing, name=name, chaos=chaos, ctxs=ctxs)
         for name in ring.shards
     }
     buckets: dict[int, TokenBucket] = {}

@@ -208,6 +208,17 @@ class TestDeviceWorker:
         split_worker.execute(Batch(jobs=[_job(2, n=256)]))
         assert combined.batch_device_seconds < split_worker.device_busy_s
 
+    @pytest.mark.parametrize("device_name", ["FPGA", "CPU"])
+    def test_estimate_is_what_a_fresh_worker_bills(self, device_name):
+        """The pending estimate includes the readback, so least-loaded
+        placement adds it to a ``device_busy_s`` that already does."""
+        batch = Batch(jobs=[_job(1, n=256), _job(2, n=4096)])
+        estimate = DeviceWorker(
+            "a", device_name=device_name
+        ).estimate_batch_seconds(batch)
+        billed = DeviceWorker("b", device_name=device_name).execute(batch)
+        assert estimate == billed.batch_device_seconds
+
     def test_job_fault_is_isolated(self):
         class BrokenJob(GammaJob):
             def compute(self):

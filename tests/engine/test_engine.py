@@ -12,7 +12,6 @@ from repro.engine import (
     JobQueueClosed,
     JobQueueFull,
     PortfolioJob,
-    serial_baseline,
 )
 from repro.finance import Obligor, Portfolio, Sector
 
@@ -248,8 +247,11 @@ class TestStatsAndJobs:
                 handle.result(10.0)
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
-    def test_serial_baseline_report(self):
-        stats = serial_baseline(_jobs(n=5, samples=128))
+    def test_serial_engine_report(self):
+        # the serial baseline is the engine with one device and no batching
+        with ExecutionEngine(n_workers=1, max_batch=1) as eng:
+            eng.run(_jobs(n=5, samples=128))
+        stats = eng.stats()
         assert stats.jobs_completed == 5
         assert stats.batches == 5
         assert stats.max_batch_occupancy == 1

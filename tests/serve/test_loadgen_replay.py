@@ -18,7 +18,6 @@ from repro.serve.loadgen import (
     WorkloadSpec,
     generate_trace,
     job_from_event,
-    modeled_device_seconds,
     offered_load_sweep,
     replay_trace,
     simulate_tier,
@@ -129,18 +128,6 @@ class TestSimulationDeterminism:
         )
         assert report["latency_s"]["p50"] <= report["latency_s"]["p99"]
         assert report["latency_s"]["p99"] <= report["latency_s"]["max"]
-
-    def test_modeled_device_seconds_matches_job(self):
-        from repro.devices import FpgaModel
-        from repro.harness.configs import CONFIGURATIONS
-
-        event = generate_trace(SPEC)[0]
-        model = FpgaModel(
-            n_work_items=CONFIGURATIONS[event.config].fpga_work_items
-        )
-        assert modeled_device_seconds(event) == pytest.approx(
-            job_from_event(event).device_seconds(model)
-        )
 
 
 class TestOfferedLoadSweep:

@@ -2,16 +2,23 @@
 
 Every recorded serving number comes from the virtual-time tier
 (:func:`repro.serve.loadgen.simulate_tier`).  Both tiers form batches
-with :func:`repro.engine.queue.take_batch`; these tests pin that the
-two then agree on the same seeded traffic:
+with :func:`repro.engine.queue.take_batch` and price them with
+:func:`repro.engine.pool.batch_service_seconds`; these tests pin that
+the two then agree on the same seeded traffic:
 
 * (a) the batch rule: the same queued jobs, about 30 % of them already
   expired, form the same batch sequence and shed the same jobs;
 * (b) routing and outcome: at low load every job lands on the same
-  shard and completes in both tiers.
+  shard and completes in both tiers;
+* (c) billing: on (a)'s queues each virtual batch holds its worker for
+  the seconds a live :class:`~repro.engine.DeviceWorker` bills the same
+  jobs, and the shard's device time sums to that worker's clock;
+* (d) retry placement: a virtual retry avoids every worker that already
+  failed the batch, as the live pool's ``Batch.avoid`` does.
 
-Retry placement and fault injection are still mirrored by hand (see
-``docs/serving.md``), so no fault plan runs here.
+Fault injection is still mirrored by hand (``VirtualChaos`` against
+``FaultPlan``, see ``docs/serving.md``), so (d) checks placement only,
+and no live fault plan runs here.
 """
 
 import dataclasses
@@ -19,13 +26,14 @@ import time
 
 import pytest
 
-from repro.engine import Batcher, BoundedJobQueue
+from repro.engine import Batch, Batcher, BoundedJobQueue, DeviceWorker
 from repro.obs import RequestTraceLog
 from repro.obs.rtrace import derive_trace_id
 from repro.serve import (
     ShardedEngine,
     TenantPolicy,
     TierSpec,
+    VirtualChaos,
     WorkloadSpec,
     generate_trace,
     job_from_event,
@@ -74,28 +82,35 @@ def _live_batches(trace):
     return batches, sorted(index[job.job_id] for job in shed)
 
 
-def _virtual_batches(trace):
-    """The same, read from the virtual tier's request-trace spans."""
+def _virtual_run(trace, workers=1, chaos=None):
+    """One-shard virtual run: the report and each event's span chain."""
     log = RequestTraceLog()
     tier = TierSpec(
-        n_shards=1, workers_per_shard=1, queue_depth=len(trace),
+        n_shards=1, workers_per_shard=workers, queue_depth=len(trace),
         max_batch=MAX_BATCH, tenant_policy=OPEN_POLICY,
     )
-    report = simulate_tier(trace, tier, rlog=log)
+    report = simulate_tier(trace, tier, chaos=chaos, rlog=log)
     assert report["shed_throttled"] == report["shed_queue_full"] == 0
     event_of = {
         derive_trace_id(log.seed, ("", e.index)): e.index for e in trace
     }
+    chains = {
+        event_of[trace_id]: spans for trace_id, spans in log.chains().items()
+    }
+    return report, chains
+
+
+def _virtual_batches(trace):
+    """The same, read from the virtual tier's request-trace spans."""
+    _, chains = _virtual_run(trace)
     members: dict[int, list[int]] = {}
     shed = []
-    for trace_id, spans in log.chains().items():
+    for index, spans in chains.items():
         for span in spans:
             if span.kind == "batch":
-                members.setdefault(span.attrs["batch_id"], []).append(
-                    event_of[trace_id]
-                )
+                members.setdefault(span.attrs["batch_id"], []).append(index)
         if spans[-1].kind == "deadline":
-            shed.append(event_of[trace_id])
+            shed.append(index)
     batches = [sorted(members[batch_id]) for batch_id in sorted(members)]
     return batches, sorted(shed)
 
@@ -108,6 +123,45 @@ def test_batch_rule_matches_live_and_virtual(seed):
     virtual_batches, virtual_shed = _virtual_batches(trace)
     assert live_batches == virtual_batches
     assert live_shed == virtual_shed == expired
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_virtual_batches_bill_what_a_live_worker_bills(seed):
+    trace = _queued_trace(seed)
+    report, chains = _virtual_run(trace)
+    executes: dict[int, tuple[float, list[int]]] = {}
+    for index, spans in chains.items():
+        for span in spans:
+            if span.kind == "execute":
+                executes.setdefault(
+                    span.attrs["batch_id"], (span.dur, [])
+                )[1].append(index)
+    worker = DeviceWorker("live")
+    for batch_id in sorted(executes):
+        service, members = executes[batch_id]
+        outcome = worker.execute(
+            Batch(jobs=[job_from_event(trace[i]) for i in sorted(members)])
+        )
+        # the live clock adds (t0 + kernel) + read, the shard kernel + read
+        assert service == pytest.approx(
+            outcome.batch_device_seconds, rel=1e-9
+        )
+    assert report["device_busy_s"] == pytest.approx(
+        worker.device_busy_s, rel=1e-9
+    )
+
+
+def test_virtual_retry_avoids_every_worker_that_failed_it():
+    chaos = VirtualChaos(fail_rate=0.5, max_attempts=3)
+    retried = 0
+    for seed in range(12):
+        trace = _queued_trace(seed, n_events=60)
+        report, chains = _virtual_run(trace, workers=3, chaos=chaos)
+        retried += report["retries"]
+        for spans in chains.values():
+            workers = [s.attrs["worker"] for s in spans if s.kind == "execute"]
+            assert len(workers) == len(set(workers)), workers
+    assert retried > 0
 
 
 def test_routing_and_outcome_match_live_and_virtual():
