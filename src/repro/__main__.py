@@ -201,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="fault-injection plan (FaultPlan JSON, see "
         "docs/resilience.md) passed to every selected experiment that "
-        "accepts a `faults` parameter (serve-bench, serve-chaos, chaos)",
+        "accepts a `faults` parameter (serve-bench, serve-tier, "
+        "serve-chaos, chaos)",
     )
     # intermixed: `trace-report --requests rt.json` puts an option
     # between positionals, which plain parse_args cannot re-enter
@@ -239,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
         if not fault_aware:
             parser.error(
                 "--faults requires at least one selected experiment with "
-                "a `faults` parameter (serve-bench, serve-chaos, chaos); "
+                "a `faults` parameter (serve-bench, serve-tier, "
+                "serve-chaos, chaos); "
                 f"selected: {', '.join(selected)}"
             )
         # fail fast on an unreadable/invalid plan rather than deep

@@ -676,7 +676,9 @@ class ExecutionEngine:
         self.metrics.counter("job_retries").inc(len(jobs))
         avoid = frozenset(outcome.batch.avoid | {outcome.worker})
         retry_batch = Batch(jobs=jobs, attempt=attempt, avoid=avoid)
-        delay = self.retry_policy.delay_s(attempt - 1, key=jobs[0].job_id)
+        # keyed on the job seed, not the per-process job id, so a rerun
+        # of the same seeds (or the virtual tier) backs off identically
+        delay = self.retry_policy.delay_s(attempt - 1, key=jobs[0].seed)
         retry_at = time.monotonic()
         for j in jobs:
             if j.trace is not None:

@@ -8,10 +8,11 @@ rest of the pool must keep serving.  Four pieces, all deterministic so
 chaos runs reproduce:
 
 * :class:`FaultPlan` — seeded fault injection threaded through
-  :meth:`repro.engine.pool.DeviceWorker.execute`.  Rules fire from a
-  hash of ``(seed, scope, entity)``, never from wall time or thread
-  interleaving, so the same plan injects the same faults into the same
-  jobs/batches/workers on every run.
+  :meth:`repro.engine.pool.DeviceWorker.execute` and through each
+  virtual worker of :func:`repro.serve.loadgen.simulate_tier`.  Rules
+  fire from a hash of ``(seed, scope, entity)``, never from wall time
+  or thread interleaving, so the same plan injects the same faults
+  into the same jobs/batches/workers on every run, on either clock.
 * :class:`RetryPolicy` — exponential backoff with deterministic jitter
   for retryable (worker-level) failures; the delay is a pure function
   of ``(attempt, key)``, testable without sleeping.
@@ -316,16 +317,17 @@ class FaultRule:
     ----------
     scope:
         What the probability draw is keyed on: ``"worker"`` (one
-        decision per worker), ``"batch"`` (per batch attempt) or
-        ``"job"`` (per job inside the batch; the batch itself
-        survives — this is how partially-failed batches are made).
+        decision per worker), ``"batch"`` (per batch attempt: the
+        batch's job seeds plus the attempt number) or ``"job"`` (per
+        job seed inside the batch; the batch itself survives — this
+        is how partially-failed batches are made).
     mode:
         ``"fail"`` raises :class:`InjectedFault` (retryable);
         ``"kill"`` does the same but permanently — every later batch on
-        that worker fails too (a dead device); ``"latency"`` adds
-        ``latency_s`` of real sleep; ``"wedge"`` hangs the attempt for
+        that worker fails too (a dead device); ``"latency"`` holds
+        the worker for ``latency_s``; ``"wedge"`` hangs the attempt for
         up to ``wedge_s`` (released early by :meth:`FaultPlan.release`,
-        which engine shutdown calls).
+        which engine shutdown calls).  Neither bills device time.
     probability:
         Chance the rule fires for a given entity; the draw is a pure
         hash of ``(plan seed, scope, entity key)``, so it is
@@ -372,11 +374,12 @@ class FaultRule:
 class FaultPlan:
     """A seeded, deterministic set of :class:`FaultRule` entries.
 
-    Threaded through :meth:`DeviceWorker.execute`: the worker calls
-    :meth:`before_batch` once per attempt (worker/batch-scoped rules)
-    and :meth:`job_fault` once per job (job-scoped rules).  Whether a
-    rule fires depends only on ``(seed, scope, entity)``, never on
-    wall time or scheduling, so a chaos run replays exactly.
+    Threaded through :meth:`DeviceWorker.execute` and the virtual
+    shard: the worker calls :meth:`before_batch` once per attempt
+    (worker/batch-scoped rules) and :meth:`job_fault` once per job
+    (job-scoped rules).  Whether a rule fires depends only on
+    ``(seed, scope, entity)``, never on wall time or scheduling, so a
+    chaos run replays exactly.
 
     ``release()`` unblocks every in-progress and future wedge — engine
     shutdown calls it so wedged workers never outlive the run.
@@ -413,13 +416,25 @@ class FaultPlan:
 
     # -- worker hooks ------------------------------------------------------------
 
-    def before_batch(self, worker_name: str, batch, batches_done: int) -> None:
+    def before_batch(
+        self,
+        worker_name: str,
+        batch,
+        batches_done: int,
+        wait: Callable[[float], object] | None = None,
+    ) -> None:
         """Apply worker/batch-scoped rules to one execute attempt.
 
-        Raises :class:`InjectedFault` for fail/kill rules; sleeps for
-        latency rules; blocks (up to ``wedge_s`` or until released)
-        for wedge rules.  Called with no locks held.
+        Raises :class:`InjectedFault` for fail/kill rules; holds the
+        worker through ``wait(seconds)`` for latency rules and for wedge
+        rules (up to ``wedge_s``).  ``wait`` defaults to waiting on the
+        release event, so a live wedge ends early at shutdown; the
+        virtual tier passes a callable that adds virtual seconds.  A
+        batch-scope draw is keyed on the batch's job seeds and attempt,
+        which both tiers agree on once batch membership agrees.  Called
+        with no locks held.
         """
+        wait = self._release.wait if wait is None else wait
         with self._lock:
             if worker_name in self._dead:
                 raise InjectedFault(
@@ -435,16 +450,16 @@ class FaultPlan:
             key: tuple[Hashable, ...] = (
                 (worker_name,)
                 if rule.scope == "worker"
-                else (batch.batch_id,)
+                else (tuple(job.seed for job in batch.jobs), batch.attempt)
             )
             if not self._fires(rule, *key):
                 continue
             if rule.mode == "latency":
                 self._count("latency")
-                self._release.wait(rule.latency_s)
+                wait(rule.latency_s)
             elif rule.mode == "wedge":
                 self._count("wedge")
-                self._release.wait(rule.wedge_s)
+                wait(rule.wedge_s)
             elif rule.mode == "kill":
                 with self._lock:
                     self._dead.add(worker_name)
@@ -460,8 +475,18 @@ class FaultPlan:
                     f"(batch {batch.batch_id}, attempt {batch.attempt})"
                 )
 
-    def job_fault(self, worker_name: str, job) -> InjectedFault | None:
-        """Job-scoped fault for one job, or None.  May sleep (latency)."""
+    def job_fault(
+        self,
+        worker_name: str,
+        job,
+        wait: Callable[[float], object] | None = None,
+    ) -> InjectedFault | None:
+        """Job-scoped fault for one job, or None.
+
+        A latency rule holds the worker through ``wait(latency_s)``
+        (see :meth:`before_batch`).
+        """
+        wait = self._release.wait if wait is None else wait
         for rule in self.rules:
             if rule.scope != "job":
                 continue
@@ -472,7 +497,7 @@ class FaultPlan:
                 continue
             if rule.mode == "latency":
                 self._count("latency")
-                self._release.wait(rule.latency_s)
+                wait(rule.latency_s)
                 continue
             self._count("fail")
             return InjectedFault(

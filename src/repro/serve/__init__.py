@@ -36,7 +36,6 @@ from repro.serve.gateway import (
 from repro.serve.loadgen import (
     TierSpec,
     TraceEvent,
-    VirtualChaos,
     WorkloadSpec,
     generate_trace,
     job_from_event,
@@ -64,7 +63,6 @@ __all__ = [
     "TierTelemetry",
     "TokenBucket",
     "TraceEvent",
-    "VirtualChaos",
     "WorkloadSpec",
     "default_serve_chaos_plan",
     "generate_trace",

@@ -31,7 +31,6 @@ from repro.harness.experiments import ExperimentResult
 from repro.serve.gateway import AdmissionGateway, TenantPolicy
 from repro.serve.loadgen import (
     TierSpec,
-    VirtualChaos,
     WorkloadSpec,
     generate_trace,
     offered_load_sweep,
@@ -68,19 +67,20 @@ def run_serve_tier(
     tenant_rate: float = 150.0,
     tenant_burst: float = 300.0,
     spill: int = 1,
-    chaos_seed: int | None = 0,
+    faults=None,
 ) -> ExperimentResult:
     """Offered-load sweep of the sharded tier on the virtual clock.
 
     One row per load multiplier; deterministic for a given seed (this
-    is what ``tools/record_bench.py --suite serving`` records).  The
-    default run exercises the full resilience surface: one spill hop
-    around full shards and the default
-    :class:`~repro.serve.loadgen.VirtualChaos` plan (seeded batch
-    failures, each retried on a worker that has not failed it), so the
-    recorded baseline's retry/spill counts and p99 exemplars are living
-    regression subjects, not zeros.  ``chaos_seed=None`` disables fault
-    injection.
+    is what ``tools/record_bench.py --suite serving`` records).
+    ``faults`` is a live :class:`~repro.engine.resilience.FaultPlan`,
+    a plan dict or a path to a plan JSON file (``--faults PLAN.json``).
+    The default plan fails ~3 % of batch attempts, each failed job
+    retried on a worker that has not failed it, so the default run
+    exercises the full resilience surface with one spill hop around
+    full shards: the recorded baseline's retry/spill counts and p99
+    exemplars are living regression subjects, not zeros.  An empty
+    ``FaultPlan()`` disables fault injection.
     """
     spec = WorkloadSpec(
         seed=seed,
@@ -97,8 +97,10 @@ def run_serve_tier(
         tenant_policy=TenantPolicy(rate=tenant_rate, burst=tenant_burst),
         spill=spill,
     )
-    chaos = VirtualChaos(seed=chaos_seed) if chaos_seed is not None else None
-    steps = offered_load_sweep(spec, list(multipliers), tier, chaos=chaos)
+    plan = _resolve_plan(faults) or FaultPlan(
+        [FaultRule(scope="batch", mode="fail", probability=0.03)], seed=0
+    )
+    steps = offered_load_sweep(spec, list(multipliers), tier, faults=plan)
     rows = [
         [
             f"{step['load_multiplier']:g}x",
@@ -161,16 +163,7 @@ def run_serve_tier(
                 "max_batch": max_batch,
                 "spill": spill,
             },
-            "chaos": (
-                {
-                    "seed": chaos.seed,
-                    "fail_rate": chaos.fail_rate,
-                    "max_attempts": chaos.max_attempts,
-                    "backoff_s": chaos.backoff_s,
-                }
-                if chaos is not None
-                else None
-            ),
+            "faults": plan.to_dict(),
         },
         notes=notes,
     )

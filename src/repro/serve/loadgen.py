@@ -13,8 +13,10 @@ Two halves, sharing one trace format:
   (the consistent-hash ring for shard assignment, the token-bucket
   admission contract, the :func:`~repro.engine.queue.take_batch` batch
   rule, the :func:`~repro.engine.pool.batch_service_seconds` batch
-  cost) plus an event-driven G/G/c-with-batching queue per shard, all
-  clocked by the trace's arrival timestamps instead of the host.
+  cost, the :class:`~repro.engine.resilience.FaultPlan` hooks, retry
+  policy and circuit breakers) plus an event-driven
+  G/G/c-with-batching queue per shard, all clocked by the trace's
+  arrival timestamps instead of the host.
   Latency percentiles, shed rates and throughput out of the
   simulator are pure functions of ``(trace, tier spec)`` — the property
   that lets ``BENCH_serving.json`` be byte-reproducible, exactly like
@@ -30,29 +32,36 @@ tests and the chaos run use.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import functools
-import heapq
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.engine.batcher import Batch
 from repro.engine.jobs import GammaJob
 from repro.engine.pool import DeviceWorker, batch_service_seconds
 from repro.engine.queue import JobQueueFull, take_batch
-from repro.engine.resilience import JobDeadlineExceeded
+from repro.engine.resilience import (
+    CircuitBreaker,
+    FaultPlan,
+    InjectedFault,
+    JobDeadlineExceeded,
+    RetryPolicy,
+)
 from repro.obs import get_request_log
 from repro.obs.percentiles import summarize
 from repro.obs.rtrace import derive_trace_id
 from repro.serve.gateway import TenantPolicy, TenantThrottled, TokenBucket
-from repro.serve.sharding import ShardRing, stable_hash
+from repro.serve.sharding import ShardRing
 
 __all__ = [
     "WorkloadSpec",
     "TraceEvent",
     "TierSpec",
-    "VirtualChaos",
     "generate_trace",
     "trace_to_json",
     "trace_from_json",
@@ -216,42 +225,30 @@ class TierSpec:
     spill: int = 0
 
 
-@dataclass(frozen=True)
-class VirtualChaos:
-    """Deterministic batch-failure injection for the virtual tier.
+@dataclass
+class _VirtualWorker:
+    """One worker of a virtual shard, named as the live tier names it."""
 
-    Whether a given dispatch attempt fails is a pure hash draw keyed on
-    ``(seed, shard, batch seq, attempt)`` — no RNG state, so two runs
-    of the same trace inject byte-identical faults, and a chain's retry
-    spans replay exactly.  A failed attempt burns its full service time
-    on the worker (the live engine's wasted work), then the batch
-    re-dispatches after ``backoff_s`` on a worker that has not failed it
-    (the live ``Batch.avoid`` rule); after ``max_attempts`` the jobs
-    fail terminally.
-    """
-
-    seed: int = 0
-    fail_rate: float = 0.03
-    max_attempts: int = 3
-    backoff_s: float = 0.002
-
-    def batch_fails(self, shard: str, batch_seq: int, attempt: int) -> bool:
-        if self.fail_rate <= 0.0:
-            return False
-        draw = (
-            stable_hash(("chaos", shard, batch_seq, attempt), self.seed)
-            / 2.0**64
-        )
-        return draw < self.fail_rate
+    name: str
+    breaker: CircuitBreaker
+    #: virtual time at which the worker can take its next attempt
+    free_at: float = 0.0
+    batches_done: int = 0
 
 
 class _Shard:
     """Event-driven G/G/c queue with batch-key coalescing.
 
-    Each batch holds a virtual worker for what a live worker bills it:
-    :func:`~repro.engine.pool.batch_service_seconds` on the device and
-    model of ``pricing``, a :class:`~repro.engine.pool.DeviceWorker`
-    built as the live tier builds its workers.
+    Each attempt runs on a virtual worker through the live worker's
+    fault hooks (:meth:`FaultPlan.before_batch` and
+    :meth:`FaultPlan.job_fault`) and holds it for what a live worker
+    would: :func:`~repro.engine.pool.batch_service_seconds` on the
+    device and model of ``pricing``, a
+    :class:`~repro.engine.pool.DeviceWorker` built as the live tier
+    builds its workers, plus any seconds a ``latency`` or ``wedge``
+    rule waits.  Failed jobs retry after the live
+    :class:`~repro.engine.resilience.RetryPolicy` backoff, and each
+    worker has a live :class:`CircuitBreaker` on the virtual clock.
 
     ``ctxs`` maps trace-event index → :class:`repro.obs.TraceContext`
     (empty when request tracing is off): every lifecycle point —
@@ -264,24 +261,33 @@ class _Shard:
         self,
         spec: TierSpec,
         pricing: DeviceWorker,
-        name: str = "shard",
-        chaos: VirtualChaos | None = None,
-        ctxs: dict | None = None,
+        index: int,
+        faults: FaultPlan,
+        ctxs: dict,
     ):
         self.spec = spec
         self.pricing = pricing
-        self.name = name
-        self.chaos = chaos
-        self.ctxs = ctxs if ctxs is not None else {}
-        self.free = [(0.0, w) for w in range(spec.workers_per_shard)]
-        heapq.heapify(self.free)
+        self.name = f"shard{index}"
+        self.faults = faults
+        self.ctxs = ctxs
+        self.retry_policy = RetryPolicy()
+        #: the virtual clock this shard's breakers read
+        self.now = 0.0
+        self.workers = [
+            _VirtualWorker(
+                f"s{index}w{j}", CircuitBreaker(clock=lambda: self.now)
+            )
+            for j in range(spec.workers_per_shard)
+        ]
         self.waiting: deque = deque()
+        #: failed jobs waiting out their backoff, earliest ready first:
+        #: (ready_at, batch_id, attempt, events, avoid)
+        self.retrying: list = []
         self.completed: list[tuple[TraceEvent, float, float]] = []
         self.deadline_shed: list[TraceEvent] = []
         self.failed: list[TraceEvent] = []
         self.busy_s = 0.0
         self.batches = 0
-        self.batch_jobs = 0
         self.retries = 0
         self._batch_seq = 0
 
@@ -304,122 +310,182 @@ class _Shard:
         return True
 
     def drain(self, until: float = float("inf")) -> None:
-        """Dispatch every batch that starts strictly before ``until``.
+        """Dispatch every attempt that starts strictly before ``until``.
 
-        Batches later than ``until`` wait: arrivals up to ``until`` may
-        still coalesce into them (the batcher's linger, in virtual
-        time).
+        Later attempts wait: arrivals up to ``until`` may still coalesce
+        into them (the batcher's linger, in virtual time).
         """
-        while self.waiting:
-            free_at, worker = self.free[0]
-            start = max(free_at, self.waiting[0].t)
-            if start >= until:
+        while True:
+            dispatch = self._next_dispatch()
+            if dispatch is None or dispatch[0] >= until:
                 return
-            heapq.heappop(self.free)
-            batch = self._form_batch(start)
-            if not batch:
-                heapq.heappush(self.free, (free_at, worker))
-                continue  # everything at the head was deadline-dead
-            self._batch_seq += 1
-            seq = self._batch_seq
-            jobs = [job_from_event(e) for e in batch]
+            start, worker, retry = dispatch
+            if retry is None:
+                events = self._form_batch(start)
+                if not events:
+                    continue  # everything at the head was deadline-dead
+                self._batch_seq += 1
+                batch_id, attempt, avoid = self._batch_seq, 1, frozenset()
+                self.batches += 1
+                for e in events:
+                    ctx = self.ctxs.get(e.index)
+                    if ctx is not None:
+                        ctx.emit(
+                            "queue", "wait", t=e.t, dur=start - e.t,
+                            shard=self.name,
+                        )
+                        ctx.emit(
+                            "batch", "batch", t=start,
+                            batch_id=batch_id, size=len(events),
+                        )
+            else:
+                self.retrying.remove(retry)
+                _, batch_id, attempt, events, avoid = retry
+                # the live worker sheds a job whose deadline passed
+                # during its backoff
+                for e in events:
+                    if e.expired(start):
+                        self._shed_deadline(e, start)
+                events = [e for e in events if not e.expired(start)]
+                if not events:
+                    continue  # the worker stays free
+            self._attempt(worker, start, events, batch_id, attempt, avoid)
+
+    def _next_dispatch(self):
+        """``(start, worker, retry)`` of the attempt that starts first.
+
+        A ready retry takes the earliest-free worker that has not failed
+        it, or the earliest-free worker once all have (the live
+        ``Batch.avoid`` rule), and goes ahead of a fresh batch that
+        would start at the same time.  ``retry`` is None for a fresh
+        batch from the queue head; None overall when nothing waits.
+        """
+        best = None
+        for retry in self.retrying:
+            ready_at, _, _, _, avoid = retry
+            worker = self._earliest_free(avoid)
+            start = max(ready_at, worker.free_at)
+            if best is None or start < best[0]:
+                best = (start, worker, retry)
+        if self.waiting:
+            worker = self._earliest_free()
+            start = max(self.waiting[0].t, worker.free_at)
+            if best is None or start < best[0]:
+                best = (start, worker, None)
+        return best
+
+    def _earliest_free(self, avoid: frozenset = frozenset()) -> _VirtualWorker:
+        candidates = [w for w in self.workers if w.name not in avoid]
+        return min(candidates or self.workers, key=lambda w: w.free_at)
+
+    def _attempt(
+        self,
+        worker: _VirtualWorker,
+        start: float,
+        events: list[TraceEvent],
+        batch_id: int,
+        attempt: int,
+        avoid: frozenset,
+    ) -> None:
+        """Run one attempt on ``worker`` as a live worker runs it.
+
+        A failed or killed attempt fails before compute and bills
+        nothing; a job fault fails only its job, and the readback still
+        covers the whole batch.  A failed job retries after the live
+        backoff unless its deadline passed or its attempts ran out.
+        """
+        self.now = start
+        worker.breaker.admit()  # the open -> half-open cooldown step
+        batch = Batch(
+            jobs=[job_from_event(e) for e in events], attempt=attempt
+        )
+        held: list[float] = []
+        try:
+            self.faults.before_batch(
+                worker.name, batch, worker.batches_done, wait=held.append
+            )
+        except InjectedFault as exc:
+            worker_fault = True
+            errors: list = [exc] * batch.size
+            billed = 0.0
+        else:
+            worker_fault = False
+            errors = [
+                self.faults.job_fault(worker.name, job, wait=held.append)
+                for job in batch.jobs
+            ]
             kernel_s, read_s = batch_service_seconds(
                 self.pricing.device,
-                (job.device_seconds(self.pricing.model) for job in jobs),
-                sum(job.result_bytes() for job in jobs),
+                (
+                    0.0 if error else job.device_seconds(self.pricing.model)
+                    for job, error in zip(batch.jobs, errors)
+                ),
+                batch.result_bytes(),
             )
-            service = kernel_s + read_s
-            self.batches += 1
-            self.batch_jobs += len(batch)
-            for e in batch:
-                ctx = self.ctxs.get(e.index)
+            billed = kernel_s + read_s
+            worker.batches_done += 1
+        finish = start + sum(held) + billed
+        self.busy_s += billed
+        self.now = worker.free_at = finish
+        if worker_fault:
+            worker.breaker.record_failure()
+            if worker.breaker.state == CircuitBreaker.OPEN:
+                # an open breaker admits nothing until its cooldown ends;
+                # one ulp later, so that the breaker's own
+                # `now - opened_at` cannot round below cooldown_s
+                worker.free_at = math.nextafter(
+                    finish + worker.breaker.cooldown_s, math.inf
+                )
+        else:
+            worker.breaker.record_success()
+        retry_events = []
+        for e, error in zip(events, errors):
+            ctx = self.ctxs.get(e.index)
+            if ctx is not None:
+                ctx.emit(
+                    "worker", "execute", t=start, dur=finish - start,
+                    status="error" if error else "ok",
+                    worker=worker.name, batch_id=batch_id, attempt=attempt,
+                )
+            if error is None:
+                self.completed.append((e, start, finish))
                 if ctx is not None:
                     ctx.emit(
-                        "queue", "wait", t=e.t, dur=start - e.t,
-                        shard=self.name,
+                        "request", "complete", t=finish,
+                        terminal=True, latency_s=finish - e.t,
                     )
-                    ctx.emit(
-                        "batch", "batch", t=start,
-                        batch_id=seq, size=len(batch),
-                    )
-            finish, worker = self._run_attempts(
-                batch, seq, start, worker, service
-            )
-            heapq.heappush(self.free, (finish, worker))
-
-    def _run_attempts(
-        self,
-        batch: list[TraceEvent],
-        seq: int,
-        start: float,
-        worker: int,
-        service: float,
-    ) -> tuple[float, int]:
-        """Execute the batch, retrying chaos-failed attempts.
-
-        Returns ``(finish, worker)`` of the final attempt.  Each failed
-        attempt burns its service time on the worker that ran it, then
-        the batch re-dispatches after ``backoff_s`` on the earliest-free
-        worker that has not failed it yet, or the earliest-free worker
-        once all have: the live pool's ``Batch.avoid`` rule.
-        """
-        attempt = 1
-        failed_on = set()
-        while True:
-            finish = start + service
-            self.busy_s += service
-            failed = self.chaos is not None and self.chaos.batch_fails(
-                self.name, seq, attempt
-            )
-            for e in batch:
-                ctx = self.ctxs.get(e.index)
+            elif e.expired(finish):
+                self._shed_deadline(e, finish)
+            elif attempt >= self.retry_policy.max_attempts:
+                self.failed.append(e)
                 if ctx is not None:
                     ctx.emit(
-                        "worker", "execute", t=start, dur=service,
-                        status="error" if failed else "ok",
-                        worker=f"{self.name}.w{worker}",
-                        batch_id=seq, attempt=attempt,
+                        "request", "failed", t=finish,
+                        status="error", terminal=True,
+                        latency_s=finish - e.t, attempts=attempt,
                     )
-            if not failed:
-                for e in batch:
-                    self.completed.append((e, start, finish))
-                    ctx = self.ctxs.get(e.index)
-                    if ctx is not None:
-                        ctx.emit(
-                            "request", "complete", t=finish,
-                            terminal=True, latency_s=finish - e.t,
-                        )
-                return finish, worker
-            if attempt >= self.chaos.max_attempts:
-                for e in batch:
-                    self.failed.append(e)
-                    ctx = self.ctxs.get(e.index)
-                    if ctx is not None:
-                        ctx.emit(
-                            "request", "failed", t=finish,
-                            status="error", terminal=True,
-                            latency_s=finish - e.t, attempts=attempt,
-                        )
-                return finish, worker
-            self.retries += len(batch)
-            attempt += 1
-            for e in batch:
-                ctx = self.ctxs.get(e.index)
-                if ctx is not None:
-                    ctx.emit(
-                        "retry", "retry_scheduled", t=finish,
-                        attempt=attempt, delay_s=self.chaos.backoff_s,
-                    )
-            failed_on.add(worker)
-            heapq.heappush(self.free, (finish, worker))
-            slot = min(
-                (s for s in self.free if s[1] not in failed_on),
-                default=self.free[0],
-            )
-            self.free.remove(slot)
-            heapq.heapify(self.free)
-            free_at, worker = slot
-            start = max(free_at, finish + self.chaos.backoff_s)
+            else:
+                retry_events.append(e)
+        if not retry_events:
+            return
+        self._batch_seq += 1
+        self.retries += len(retry_events)
+        delay = self.retry_policy.delay_s(attempt, key=retry_events[0].seed)
+        for e in retry_events:
+            ctx = self.ctxs.get(e.index)
+            if ctx is not None:
+                ctx.emit(
+                    "retry", "retry_scheduled", t=finish,
+                    attempt=attempt + 1, delay_s=delay,
+                    batch_id=self._batch_seq,
+                )
+        bisect.insort(
+            self.retrying,
+            (
+                finish + delay, self._batch_seq, attempt + 1, retry_events,
+                avoid | {worker.name},
+            ),
+        )
 
     def _form_batch(self, start: float) -> list[TraceEvent]:
         """The live batch rule (:func:`~repro.engine.queue.take_batch`)
@@ -446,14 +512,19 @@ _EXEMPLAR_K = 8
 def simulate_tier(
     trace: list[TraceEvent],
     tier: TierSpec | None = None,
-    chaos: VirtualChaos | None = None,
+    faults: FaultPlan | None = None,
     rlog=None,
     trace_salt: str = "",
 ) -> dict:
     """Deterministic virtual-time run of ``trace`` through a tier.
 
+    ``faults`` is the live tier's :class:`FaultPlan`; the run works on
+    a fresh copy of it, so kill state and ``injected`` counts never
+    reach the caller's plan.  Retries and breakers use the live
+    defaults (:class:`RetryPolicy`, :class:`CircuitBreaker`).
+
     The returned report is a pure function of its inputs — same trace,
-    same spec, same chaos plan, byte-identical dict — and carries
+    same spec, same fault plan, byte-identical dict — and carries
     everything the serving benchmark records per offered-load step:
     completion/shed/failure counts by cause, end-to-end latency summary
     (mean/p50/p95/p99/max), goodput on the virtual clock, per-shard
@@ -477,10 +548,15 @@ def simulate_tier(
     )
     ctxs: dict = {}
     pricing = DeviceWorker("virtual")
-    shards = {
-        name: _Shard(tier, pricing, name=name, chaos=chaos, ctxs=ctxs)
-        for name in ring.shards
-    }
+    # a fresh copy: kill state and injected counts stay in this run
+    plan = (
+        FaultPlan(faults.rules, faults.seed) if faults is not None
+        else FaultPlan()
+    )
+    shards = {}
+    for i in range(tier.n_shards):
+        shard = _Shard(tier, pricing, i, plan, ctxs)
+        shards[shard.name] = shard
     buckets: dict[int, TokenBucket] = {}
     throttled: list[TraceEvent] = []
     queue_shed: list[TraceEvent] = []
@@ -605,7 +681,7 @@ def offered_load_sweep(
     spec: WorkloadSpec,
     multipliers: list[float],
     tier: TierSpec | None = None,
-    chaos: VirtualChaos | None = None,
+    faults: FaultPlan | None = None,
 ) -> list[dict]:
     """One :func:`simulate_tier` step per offered-load multiplier.
 
@@ -619,7 +695,7 @@ def offered_load_sweep(
     for m in multipliers:
         scaled = spec.scaled(m)
         report = simulate_tier(
-            generate_trace(scaled), tier, chaos=chaos, trace_salt=f"m{m}"
+            generate_trace(scaled), tier, faults=faults, trace_salt=f"m{m}"
         )
         report.pop("assignment")  # bulky, per-step records don't need it
         steps.append(

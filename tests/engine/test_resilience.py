@@ -26,6 +26,7 @@ from repro.engine import (
 )
 from repro.engine.queue import EngineError
 from repro.engine.resilience import unit_draw
+from repro.obs import ChromeTracer
 
 
 def _jobs(n=8, samples=64, base_seed=900):
@@ -245,6 +246,7 @@ class TestFaultPlan:
         class FakeBatch:
             batch_id = 1
             attempt = 1
+            jobs = ()
 
         plan.before_batch("w0", FakeBatch(), batches_done=0)  # not armed yet
         plan.before_batch("w0", FakeBatch(), batches_done=1)
@@ -261,6 +263,7 @@ class TestFaultPlan:
         class FakeBatch:
             batch_id = 5
             attempt = 1
+            jobs = ()
 
         done = threading.Event()
 
@@ -410,6 +413,37 @@ class TestRetriesEndToEnd:
                 with pytest.raises(InjectedFault):
                     h.result(30.0)
         assert eng.stats().retries == 4  # one retry per job, then done
+
+    def test_retry_backoff_is_keyed_on_the_job_seed(self):
+        # two runs of the same seeds back off identically: the jitter is
+        # keyed on the job seed, not on the per-process job id
+        def retry_delays():
+            tracer = ChromeTracer()
+            eng = ExecutionEngine(
+                n_workers=2,
+                max_batch=1,
+                faults=FaultPlan(
+                    [FaultRule(scope="batch", mode="fail", probability=0.5)]
+                ),
+                retry=RetryPolicy(base_s=0.01, jitter=0.5),
+                breakers=False,
+                tracer=tracer,
+            )
+            with eng:
+                for handle in [eng.submit(j) for j in _jobs(n=8)]:
+                    try:
+                        handle.result(30.0)
+                    except InjectedFault:
+                        pass
+            return sorted(
+                e["args"]["delay_ms"]
+                for e in tracer.events()
+                if e.get("name") == "retry_scheduled"
+            )
+
+        first = retry_delays()
+        assert first
+        assert retry_delays() == first
 
     def test_retries_disabled_with_single_attempt(self):
         plan = FaultPlan([FaultRule(scope="batch", mode="fail")])

@@ -25,7 +25,6 @@ from repro.serve.gateway import AdmissionGateway, TenantPolicy
 from repro.serve.loadgen import (
     TierSpec,
     WorkloadSpec,
-    VirtualChaos,
     generate_trace,
     simulate_tier,
 )
@@ -292,11 +291,13 @@ class TestVirtualSimulator:
         n_shards=2, workers_per_shard=1, queue_depth=8, max_batch=4,
         spill=1,
     )
-    CHAOS = VirtualChaos(seed=7, fail_rate=0.15, max_attempts=3)
+    FAULTS = FaultPlan(
+        [FaultRule(scope="batch", mode="fail", probability=0.15)], seed=7
+    )
 
     def _run(self, rlog):
         trace = generate_trace(self.SPEC)
-        return simulate_tier(trace, self.TIER, chaos=self.CHAOS, rlog=rlog)
+        return simulate_tier(trace, self.TIER, faults=self.FAULTS, rlog=rlog)
 
     def test_traced_export_is_deterministic(self):
         exports = []

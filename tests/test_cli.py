@@ -93,6 +93,19 @@ class TestJsonOutput:
         }
         assert "simulated" in record["notes"]
 
+    def test_faults_plan_reaches_the_virtual_sweep(self, capsys, tmp_path):
+        plan = {
+            "seed": 11,
+            "rules": [{"scope": "batch", "mode": "fail", "probability": 0.2}],
+        }
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(["--json", "--faults", str(path), "serve-tier"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        faults = record["series"]["faults"]
+        assert faults["seed"] == 11
+        assert [r["probability"] for r in faults["rules"]] == [0.2]
+
     def test_json_is_machine_readable_end_to_end(self, capsys):
         assert main(["--json", "table1", "eq1"]) == 0
         records = json.loads(capsys.readouterr().out)

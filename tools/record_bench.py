@@ -245,6 +245,7 @@ def bench_serving() -> dict:
         "experiment": result.experiment,
         "workload": result.series["workload"],
         "tier": result.series["tier"],
+        "faults": result.series["faults"],
         "steps": result.series["steps"],
     }
 
