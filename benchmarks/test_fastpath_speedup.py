@@ -1,14 +1,14 @@
 """Cycle-skipping fast path: wall-clock speedup on the Fig 7 sweep.
 
 The transfers-only experiment (Fig 7) is the workload the fast path was
-built for: once every engine has a burst in flight, the whole region
-sits in deterministic waits while the single channel drains — exactly
-the dead windows ``DataflowRegion.run`` can jump over.  The sweep here
-covers the channel-bound end of the Fig 7 grid (single-word bursts,
-shallow streams, several work-item counts), where the per-burst setup
-overhead makes the dead windows longest.
+built for: once every engine has a burst in flight, each engine sits
+parked until its burst drains and each source until its engine reads,
+and when all of them are parked the whole region jumps while the
+single channel drains.  The sweep here covers the channel-bound end of
+the Fig 7 grid (single-word bursts, shallow streams, several work-item
+counts), where the per-burst setup overhead makes the waits longest.
 
-Acceptance: the fast path must run the sweep at least 3x faster than
+Acceptance: the fast path must run the sweep at least 5x faster than
 the reference one-cycle-at-a-time loop while producing field-for-field
 identical reports (equivalence itself is pinned by
 ``tests/core/test_fastpath_equivalence.py``; this file re-asserts the
@@ -33,7 +33,7 @@ SWEEP = tuple(
     for n_wi in (4, 6, 8)
 )
 
-SPEEDUP_FLOOR = 3.0
+SPEEDUP_FLOOR = 5.0
 
 
 def _run_once(fast_path, **kwargs):
@@ -49,7 +49,7 @@ def _best_of(fast_path, n=3, **kwargs):
     return min(runs, key=lambda r: r[0])
 
 
-def test_fig7_sweep_speedup_at_least_3x():
+def test_fig7_sweep_speedup_at_least_5x():
     total_ref = total_fast = 0.0
     lines = []
     for kwargs in SWEEP:
@@ -75,8 +75,12 @@ def test_fig7_sweep_speedup_at_least_3x():
 
 
 def test_fast_path_not_slower_when_it_cannot_skip():
-    """Compute-bound regions probe rarely (only after all-stall cycles);
-    the fast path must stay within noise of the reference loop there."""
+    """A config that skips few whole cycles still parks each stalled
+    process: a source on its full stream, an engine on its burst.  The
+    probes come after single stalls, not all-stall cycles, and cost less
+    than the stall ticks they save, so the fast path runs faster than
+    the reference here too (22 ms vs 37 ms on a 2-vCPU x86-64 host);
+    the bound is only that it is never slower beyond noise."""
     kwargs = dict(
         n_work_items=2, values_per_item=2048, burst_words=4, stream_depth=16
     )

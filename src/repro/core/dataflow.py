@@ -19,19 +19,23 @@ producer-consumer pair."  This module models that region:
 
 The lock-step loop itself is :func:`run_cycles`, shared with
 :class:`~repro.core.pipes.MultiRegionRunner`: a region is the
-one-region case of a pipeline.  It uses a **cycle-skipping fast
-path**: after a cycle in which no process progressed, it asks every
-live process and channel for a
-:meth:`~repro.core.process.Process.next_event` hint and, when all agree
-the window is dead, jumps straight to the earliest event while
-bulk-crediting the identical cycle accounting
+one-region case of a pipeline.  Its **fast path parks** each process
+after a tick in which it stalled, when the process's
+:meth:`~repro.core.process.Process.next_event` hint, read between
+cycles, is not ``None``.  A parked process is skipped until the cycle
+its hint names or, for ``NO_SELF_EVENT``, until the next ``write``,
+``read`` or ``close`` on one of its streams; on waking, its
+``skip_cycles`` credits the slept cycles.  When every live process is
+parked the loop jumps the channels straight to the earliest event.
+Reports are identical to the reference loop's
 (``docs/simulator_fastpath.md``).  Instrumented runs (tracer or
-explicit attribution) skip too: a dead window provably repeats the
-stall classification of the cycle before it, so the whole window is
-emitted as one bulk :meth:`~repro.obs.stall.StallAttribution.skip_window`
-span and the resulting trace/report is identical to the reference
-loop's (the instrumented skip stops one cycle short of the event
-horizon so the boundary cycle is classified by a real tick).
+explicit attribution) tick every process each cycle and skip only
+windows in which every process stalls: such a window provably repeats
+the stall classification of the cycle before it, so it is emitted as
+one bulk :meth:`~repro.obs.stall.StallAttribution.skip_window` span
+and the trace/report is identical to the reference loop's (the
+instrumented skip stops one cycle short of the event horizon so the
+boundary cycle is classified by a real tick).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.core.process import Process
+from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
 from repro.obs import get_tracer
 from repro.obs import stall as _stall
@@ -280,24 +284,26 @@ def run_cycles(
     counted into ``owner.skipped_cycles`` (reset here), so the count
     survives an abort.
 
+    ``fast`` without an ``attribution`` runs :func:`_run_parked`, which
+    skips each stalled process until its wait ends.  ``fast=False``
+    ticks every live process every cycle: the reference the
+    differential suite compares against.
+
     With an ``attribution`` each cycle is also classified into the
-    :mod:`repro.obs.stall` taxonomy (see :func:`_attributed_cycle`);
-    without one the loop pays a single ``None`` check per cycle.  The
-    attribution is closed on every exit path (normal, runaway,
-    deadlock) alike.
+    :mod:`repro.obs.stall` taxonomy (see :func:`_attributed_cycle`),
+    and ``fast`` jumps only windows in which every process stalls, as
+    one bulk attribution span.  The attribution is closed on every exit
+    path (normal, runaway, deadlock) alike.
 
     Returns the final cycle and the cycle at which each process (by
     name) finished — ``0`` for processes already done at the start.
     """
     owner.skipped_cycles = 0
+    if fast and attribution is None:
+        return _run_parked(owner, label, regions, ordered, channels, max_cycles)
     cycle = 0
     done_at = {p.name: 0 for p in ordered if p.done()}
     live = [p for p in ordered if not p.done()]
-    # the instrumented skip stops one cycle short of the event horizon:
-    # the boundary cycle is where classification changes (at a
-    # burst-completion tick the owner is no longer attributed
-    # ``transfer``) and must be observed by a real tick, not replicated
-    boundary = 0 if attribution is None else 1
     states: dict[str, str] = {}
     try:
         while live:
@@ -327,33 +333,35 @@ def run_cycles(
                     if proc.done():
                         done_at[proc.name] = cycle
                 live = still
-            # probe for a dead window only after a cycle in which every
-            # process stalled (channel-only progress) — active phases pay
-            # one boolean per cycle, nothing more
+            # an instrumented fast run probes for a dead window only
+            # after a cycle in which every process stalled (channel-only
+            # progress)
             if fast and live and not proc_progress:
                 span = _skip_window(live, channels, cycle)
                 if span > max_cycles - cycle:
                     span = max_cycles - cycle  # stop exactly at the guard
-                span -= boundary
+                # stop one cycle short of the event horizon: the boundary
+                # cycle is where classification changes (at a
+                # burst-completion tick the owner is no longer attributed
+                # ``transfer``) and must be observed by a real tick
+                span -= 1
                 if span >= 2:
-                    if attribution is not None:
-                        busy_before = [ch.stats.busy_cycles for ch in channels]
+                    busy_before = [ch.stats.busy_cycles for ch in channels]
                     for proc in live:
                         proc.skip_cycles(cycle, span)
                     for channel in channels:
                         channel.skip_cycles(cycle, span)
-                    if attribution is not None:
-                        # every live process repeats the state it was
-                        # attributed on the cycle just before the window
-                        attribution.skip_window(
-                            cycle,
-                            span,
-                            states,
-                            [
-                                ch.stats.busy_cycles - before
-                                for ch, before in zip(channels, busy_before)
-                            ],
-                        )
+                    # every live process repeats the state it was
+                    # attributed on the cycle just before the window
+                    attribution.skip_window(
+                        cycle,
+                        span,
+                        states,
+                        [
+                            ch.stats.busy_cycles - before
+                            for ch, before in zip(channels, busy_before)
+                        ],
+                    )
                     owner.skipped_cycles += span
                     cycle += span
     finally:
@@ -361,6 +369,137 @@ def run_cycles(
             # no-arg close: spans end at the last recorded cycle
             attribution.close()
     return cycle, done_at
+
+
+class _Sleeper:
+    """Loop-side state of one live process on the untraced fast path.
+
+    Awake: ``since`` is ``None`` and ``until`` is 0.  Parked after a
+    stalled tick: ``since`` is the first cycle not ticked and ``until``
+    the first cycle to tick again — the cycle the process's
+    ``next_event`` hint named, or :data:`NO_SELF_EVENT` until a wake
+    slot on one of its streams runs :meth:`wake`.
+    """
+
+    __slots__ = ("proc", "since", "until")
+
+    def __init__(self, proc: Process):
+        self.proc = proc
+        self.since: int | None = None
+        self.until: float = 0
+
+    def wake(self) -> None:
+        # a finite hint holds while other processes act; only an
+        # open-ended park waits for its streams
+        if self.until == NO_SELF_EVENT:
+            self.until = 0
+
+    def park(self, cycle: int, until: float) -> None:
+        self.since = cycle
+        self.until = until
+        if until == NO_SELF_EVENT:
+            proc = self.proc
+            for stream in proc.inputs():
+                stream._consumer_wake = self.wake
+            for stream in proc.outputs():
+                stream._producer_wake = self.wake
+
+    def resume(self, cycle: int) -> None:
+        """Credit the slept cycles ``[since, cycle)`` and wake up."""
+        if cycle > self.since:
+            self.proc.skip_cycles(self.since, cycle - self.since)
+        self.since = None
+        self.until = 0
+
+
+def _run_parked(
+    owner, label: str, regions, ordered: list[Process], channels, max_cycles: int
+) -> tuple[int, dict[str, int]]:
+    """:func:`run_cycles` on the untraced fast path: park stalled processes.
+
+    A process whose tick stalled and whose ``next_event`` hint, read
+    between cycles, is not ``None`` is parked: skipped until the cycle
+    the hint names or, for :data:`NO_SELF_EVENT`, until the next
+    ``write``, ``read`` or ``close`` on one of its streams.  A wake by
+    an upstream producer lands later in the same cycle's topological
+    order, so the consumer ticks that cycle; a wake by a downstream
+    consumer comes after the producer's turn, so it ticks the next
+    cycle — exactly when the reference loop's ticks would first differ
+    from a stall repeat.  ``skip_cycles`` credits the slept cycles on
+    waking, or on an abort.  When every live process is parked the
+    loop jumps the channels to the earliest wake or channel event.
+    """
+    cycle = 0
+    done_at = {p.name: 0 for p in ordered if p.done()}
+    sleepers = [_Sleeper(p) for p in ordered if not p.done()]
+    parked = 0
+    while sleepers:
+        if cycle >= max_cycles:
+            _credit_sleepers(sleepers, cycle)
+            raise RuntimeError(f"{label} exceeded {max_cycles} cycles")
+        progressed = finished = False
+        stalled = []
+        for s in sleepers:
+            if s.until > cycle:
+                continue  # parked: its tick would repeat the stall
+            if s.since is not None:
+                s.resume(cycle)
+                parked -= 1
+            proc = s.proc
+            if proc.tick(cycle):
+                progressed = True
+                if proc.done():
+                    finished = True
+            elif proc.done():
+                finished = True
+            else:
+                stalled.append(s)
+        for channel in channels:
+            if channel.tick(cycle):
+                progressed = True
+        if not progressed:
+            _credit_sleepers(sleepers, cycle + 1)
+            raise DeadlockError(
+                _deadlock_message(label, regions, channels, cycle)
+            )
+        cycle += 1
+        if finished:  # done() is monotone and only a tick flips it
+            alive = []
+            for s in sleepers:
+                if s.since is None and s.proc.done():
+                    done_at[s.proc.name] = cycle
+                else:
+                    alive.append(s)
+            sleepers = alive
+        # hints are read only between cycles: MemoryChannel caches
+        # the completion it predicts
+        for s in stalled:
+            event = s.proc.next_event(cycle)
+            if event is not None:
+                s.park(cycle, event)
+                parked += 1
+        if sleepers and parked == len(sleepers):
+            horizon = min(s.until for s in sleepers)
+            for channel in channels:
+                event = channel.next_event(cycle)
+                if event < horizon:
+                    horizon = event
+            # an all-inf horizon is a deadlock the next cycle raises
+            if horizon != NO_SELF_EVENT:
+                span = min(int(horizon), max_cycles) - cycle
+                if span > 0:
+                    for channel in channels:
+                        channel.skip_cycles(cycle, span)
+                    owner.skipped_cycles += span
+                    cycle += span
+    return cycle, done_at
+
+
+def _credit_sleepers(sleepers: list[_Sleeper], end: int) -> None:
+    """Credit every parked process up to ``end`` before an abort."""
+    for s in sleepers:
+        if s.since is not None:
+            s.resume(end)
 
 
 def _attributed_cycle(
@@ -438,7 +577,8 @@ def _attributed_cycle(
 
 
 def _skip_window(live: list[Process], channels, cycle: int) -> int:
-    """Length of the provably dead window starting at ``cycle``.
+    """Length of the provably dead window starting at ``cycle``
+    (instrumented runs).
 
     Asks every live process and channel for its
     :meth:`~repro.core.process.Process.next_event` hint.  Any ``None``

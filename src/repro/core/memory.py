@@ -179,8 +179,10 @@ class MemoryChannel:
         cycle later — so the event is ``completion + 1`` of whichever
         burst finishes first.  An idle channel with an empty queue never
         self-generates an event (``inf``).  Exact because arbitration is
-        FIFO: submissions during a skipped window are impossible (every
-        producer is stalled) and later ones queue behind.
+        FIFO: the loop asks only between cycles, before jumping a window
+        in which every process is parked (untraced) or stalled
+        (instrumented), so no submission lands inside it, and later
+        ones queue behind.
         """
         if self._current is not None:
             # draining burst: completes at cycle + _remaining - 1
@@ -195,7 +197,9 @@ class MemoryChannel:
 
         Walks the FIFO queue once and caches the (immutable) prediction
         on every request it passes, so repeated polls are O(1).  Returns
-        None for a request this channel does not hold.
+        None for a request this channel does not hold.  ``cycle`` is
+        the next cycle to tick: ask only between cycles, after this
+        channel ticked, since a cached answer is never recomputed.
         """
         if request._predicted_done is not None:
             return request._predicted_done

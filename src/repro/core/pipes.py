@@ -16,10 +16,11 @@ pipes with cross-kernel overlap.  This module generalizes
   region DAG;
 * a :class:`MultiRegionRunner` co-schedules every region on one shared
   cycle loop — producer regions and consumer regions overlap exactly
-  like the processes inside one region do — with the cycle-skipping
-  fast path composed across regions: a window is skipped only when
-  *every* live process in *every* region and every memory channel
-  agrees it is dead.  The loop is the one
+  like the processes inside one region do — with the fast path
+  composed across regions: a process parked on a pipe wakes when the
+  other region's process writes, reads or closes it, and the loop
+  jumps only when *every* live process in *every* region is parked.
+  The loop is the one
   :meth:`~repro.core.dataflow.DataflowRegion.run` uses, so an enabled
   tracer gives pipelines the same per-cycle stall attribution.
 
@@ -277,8 +278,8 @@ class MultiRegionRunner:
     region-topological then intra-region-topological order (so a token
     written into a pipe at cycle *t* is visible to the consumer region
     at cycle *t*), all channels tick after the processes, deadlock is
-    detected across the whole graph, and the cycle-skipping fast path
-    probes *all* regions' hints at once.
+    detected across the whole graph, and the fast path parks stalled
+    processes in *all* regions alike.
     """
 
     def __init__(self, graph: PipelineGraph):

@@ -7,10 +7,10 @@ it made *progress* in a cycle — the region uses this for deadlock
 detection — and whether it has *finished* its program.
 
 Processes may additionally publish a :meth:`Process.next_event` hint
-("no state change before cycle N") that lets the region's
-cycle-skipping fast path jump over deterministic waits — initiation
-interval bubbles, burst-grant waits, drained channels — in one step
-while keeping the cycle accounting identical to the reference
+("no state change before cycle N") that lets the region's fast path
+park a stalled process until its wait ends — a burst-grant wait, a
+full or empty FIFO — and jump over windows in which every process is
+parked, while keeping the cycle accounting identical to the reference
 one-cycle-at-a-time loop (see ``docs/simulator_fastpath.md``).
 """
 
@@ -104,21 +104,30 @@ class Process(abc.ABC):
     def next_event(self, cycle: int) -> int | float | None:
         """Earliest future cycle at which this process might act.
 
-        The contract powering the region's cycle-skipping fast path:
+        The contract powering the region's fast path:
 
         * an ``int`` N (``> cycle``) — every tick from ``cycle`` up to
           (excluding) N is a pure repeat of the current stall/bubble
           accounting; at N the process may change state (its own timer
           fires: an II bubble drains, its burst's predicted completion
-          is observed);
-        * :data:`NO_SELF_EVENT` (``inf``) — pure repeats for as long as
-          no stream or channel request this process observes changes
-          state (e.g. blocked on a full/empty FIFO with no own timer);
+          is observed).  The answer holds while other processes act:
+          nothing they do moves N (later bursts queue behind);
+        * :data:`NO_SELF_EVENT` (``inf``) — pure repeats until the next
+          ``write``, ``read`` or ``close`` on one of this process's
+          streams (e.g. blocked on a full/empty FIFO with no own
+          timer);
         * ``None`` — no guarantee: the next tick may do real work, or
-          the process cannot predict itself.  Disables skipping.
+          the process cannot predict itself.  The process is not
+          parked.
+
+        The loop asks only between cycles, after the channels ticked,
+        with ``cycle`` the next cycle to run:
+        :meth:`~repro.core.memory.MemoryChannel.predict_done` caches
+        its answer, so a hint read mid-cycle would cache a completion
+        one cycle early.
 
         The default is ``None``, so unknown :class:`Process` subclasses
-        always take the reference one-cycle-at-a-time loop.  A subclass
+        tick every cycle, as in the reference loop.  A subclass
         that overrides :meth:`tick` without revisiting this hint must
         return ``None`` (the built-in implementations guard on the
         exact ``tick`` identity for this reason).
@@ -128,9 +137,15 @@ class Process(abc.ABC):
     def skip_cycles(self, cycle: int, count: int) -> None:
         """Apply ``count`` cycles of bulk stall accounting.
 
-        Called by the fast path only inside a window validated by
-        :meth:`next_event`; must leave this process (and its streams)
-        in exactly the state ``count`` reference ticks would have.
+        Called by the fast path only for cycles validated by
+        :meth:`next_event`: on an untraced run when a parked process
+        wakes, or the run aborts, with the ``count`` cycles it slept
+        from ``cycle`` on; on an instrumented run for a window in which
+        every process stalls.  Other processes may have acted since the
+        hint was read, so the crediting depends only on this process's
+        own state, which a parked process keeps.  Must leave this
+        process (and its streams' counters) in exactly the state
+        ``count`` reference ticks would have.
         """
         raise RuntimeError(
             f"{type(self).__name__}({self.name!r}) advertised a skippable "

@@ -107,6 +107,11 @@ class Stream:
         # last cycle a stall was counted (poll-idempotence stamps)
         self._last_write_stall_cycle: int | None = None
         self._last_read_stall_cycle: int | None = None
+        # wake slots, one per stream end: the cycle loop's fast path
+        # parks a process blocked on this stream and leaves a callable
+        # here, run once at the next event that can unblock that end
+        self._consumer_wake = None  # run by write() and close()
+        self._producer_wake = None  # run by read()
 
     # -- state ------------------------------------------------------------------
 
@@ -218,6 +223,9 @@ class Stream:
         self.total_writes += 1
         if len(self._fifo) > self.high_water:
             self.high_water = len(self._fifo)
+        if self._consumer_wake is not None:
+            wake, self._consumer_wake = self._consumer_wake, None
+            wake()
 
     def read(self) -> Any:
         """Pop one token; raises :class:`StreamEmpty` on an empty FIFO."""
@@ -226,7 +234,11 @@ class Stream:
                 f"stream {self.name!r} empty; consumer must stall on can_read()"
             )
         self.total_reads += 1
-        return self._fifo.popleft()
+        value = self._fifo.popleft()
+        if self._producer_wake is not None:
+            wake, self._producer_wake = self._producer_wake, None
+            wake()
+        return value
 
     def peek(self) -> Any:
         """Front token without consuming it."""
@@ -238,6 +250,9 @@ class Stream:
         """Producer-side end-of-stream marker (no hardware equivalent —
         used by the simulation to let consumers terminate cleanly)."""
         self._closed = True
+        if self._consumer_wake is not None:
+            wake, self._consumer_wake = self._consumer_wake, None
+            wake()
 
     def drain(self) -> Iterable[Any]:
         """Read out all remaining tokens (test/debug helper)."""

@@ -606,3 +606,129 @@ def test_pipeline_instrumented_identical(name):
     assert untraced.report.stall_report is None
     assert fp.report.cycles == untraced.report.cycles
     assert fp.report.stream_stats == untraced.report.stream_stats
+
+
+# ---------------------------------------------------------------------------
+# parking: the untraced fast path does not tick stall repeats
+# ---------------------------------------------------------------------------
+
+
+def count_ticks(processes):
+    """Wrap every process's ``tick``; returns the shared call counter."""
+    calls = [0]
+    for proc in processes:
+
+        def counted(cycle, tick=proc.tick):
+            calls[0] += 1
+            return tick(cycle)
+
+        proc.tick = counted
+    return calls
+
+
+def parking_fig3():
+    region = DecoupledWorkItems(
+        DecoupledConfig(
+            n_work_items=6,
+            kernel=GammaKernelConfig(
+                limit_main=256, sector_variances=(1.39, 0.5)
+            ),
+        )
+    ).region
+    return region, region.processes, report_fields
+
+
+def parking_fig7():
+    region, _, _ = build_transfer_only_region(
+        n_work_items=6, values_per_item=1024, burst_words=1, stream_depth=2
+    )
+    return region, region.processes, report_fields
+
+
+def parking_pipeline():
+    from repro.core.pricing import build_pricing_pipeline
+
+    build = build_pricing_pipeline(
+        PricingPipelineConfig(
+            n_work_items=4,
+            kernel=GammaKernelConfig(
+                limit_main=256, sector_variances=(1.39, 0.5)
+            ),
+        )
+    )
+    processes = [p for r in build.graph.regions for p in r.processes]
+    return build.runner, processes, pipeline_report_fields
+
+
+@pytest.mark.parametrize(
+    "build, max_ratio",
+    [
+        pytest.param(parking_fig3, 0.25, id="fig3"),
+        pytest.param(parking_fig7, 0.1, id="fig7"),
+        pytest.param(parking_pipeline, 0.25, id="pipeline"),
+    ],
+)
+def test_fast_path_does_not_tick_stall_repeats(build, max_ratio):
+    """A parked process is skipped until its wait ends, so the fast path
+    ticks a fraction of what the reference loop ticks, with an
+    identical report.  The counts are exact, hence deterministic."""
+    ticks, fields = [], []
+    for fast in (False, True):
+        runner, processes, report_fields_of = build()
+        calls = count_ticks(processes)
+        fields.append(report_fields_of(runner.run(fast_path=fast)))
+        ticks.append(calls[0])
+    assert fields[0] == fields[1]
+    ref_ticks, fast_ticks = ticks
+    assert fast_ticks <= max_ratio * ref_ticks, (
+        f"fast path ticked {fast_ticks} of {ref_ticks} reference ticks"
+    )
+
+
+def capped_pipeline_outcome(seed, limit_max, fast):
+    """Run a capped pricing pipeline; returns its outcome and stats."""
+    from repro.core.pricing import build_pricing_pipeline
+
+    build = build_pricing_pipeline(
+        PricingPipelineConfig(
+            kernel=GammaKernelConfig(
+                limit_main=64,
+                limit_max=limit_max,
+                sector_variances=(1.39, 0.5),
+                seed=seed,
+            )
+        )
+    )
+    runner = build.runner
+    try:
+        outcome = runner.run(fast_path=fast).cycles
+    except DeadlockError as exc:
+        outcome = str(exc)
+    processes = [p for r in runner.graph.regions for p in r.processes]
+    return (
+        outcome,
+        {p.name: vars(p.stats) for p in processes},
+        {
+            s.name: s.stats
+            for p in processes
+            for s in (*p.inputs(), *p.outputs())
+        },
+        [vars(c.stats) for c in build.channels],
+    )
+
+
+@pytest.mark.parametrize("limit_max", [64, 66, 70, 76, 80])
+def test_capped_pipeline_abort_identical(limit_max):
+    """A kernel capped by ``limit_max`` closes its gamma pipe early.
+    The pricer sees the close and finishes, but the engines downstream
+    hang by design (REPLOOP has a fixed trip count), so the run ends in
+    a DeadlockError.  Both paths must raise the same message with the
+    same partial stats; the fast path must wake a pricer parked on the
+    empty pipe when the pipe closes."""
+    deadlocks = 0
+    for seed in range(12):
+        ref = capped_pipeline_outcome(seed, limit_max, fast=False)
+        fast = capped_pipeline_outcome(seed, limit_max, fast=True)
+        assert ref == fast, f"seed {seed}"
+        deadlocks += isinstance(ref[0], str)
+    assert deadlocks > 0

@@ -435,7 +435,10 @@ class TestPricingProcess:
 
     def test_early_close_propagates(self):
         """A producer closing early (limit_max cap) terminates the
-        pricer without deadlocking the downstream stages."""
+        pricer, which closes both of its sinks.  The stages downstream
+        of it still deadlock in a full pipeline: REPLOOP has a fixed
+        trip count, so the engines wait for values that never come
+        (``test_capped_pipeline_abort_identical`` runs that case)."""
         source = Stream("in", depth=4)
         priced = Stream("a", depth=4)
         raw = Stream("b", depth=4)
