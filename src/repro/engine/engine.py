@@ -226,13 +226,6 @@ class ExecutionEngine:
                 for i in range(n_workers)
             ]
         self.name = name
-        self.worker_prefix = worker_prefix
-        # defaults for workers added later through scale hooks
-        self._worker_device = device
-        self._worker_config = config
-        self._next_worker_idx = len(workers)
-        self._breakers_enabled = breakers is True or isinstance(breakers, dict)
-        self._breaker_config = breaker_config
         self.admission = admission
         self.submit_timeout_s = submit_timeout_s
         self.retry_policy = retry if retry is not None else RetryPolicy()
@@ -346,62 +339,6 @@ class ExecutionEngine:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(drain=exc_type is None)
-
-    # -- elastic capacity (shard-friendly construction + autoscaler hooks) -------
-
-    @property
-    def n_active_workers(self) -> int:
-        """Workers currently eligible for new batches."""
-        return self.pool.n_active
-
-    def add_worker(self) -> str:
-        """Grow this engine by one device worker (autoscaler scale-up).
-
-        The new worker clones the construction-time device/config, gets
-        the engine's tracer and fault plan, and — when breakers are
-        enabled — its own circuit breaker wired into metrics.  Returns
-        the new worker's name.  Safe mid-run: the pool starts its
-        thread immediately.
-        """
-        if self._shut_down:
-            raise RuntimeError("engine is shut down")
-        worker = DeviceWorker(
-            f"{self.worker_prefix}{self._next_worker_idx}",
-            device_name=self._worker_device,
-            config=self._worker_config,
-        )
-        self._next_worker_idx += 1
-        worker.tracer = self.tracer
-        if self.fault_plan is not None:
-            worker.fault_plan = self.fault_plan
-        breaker = None
-        if self._breakers_enabled:
-            breaker = CircuitBreaker(**(self._breaker_config or {}))
-            breaker.on_transition = (
-                lambda old, new, _name=worker.name: self._on_breaker_transition(
-                    _name, old, new
-                )
-            )
-        self.pool.add_worker(worker, breaker)
-        self.metrics.counter("workers_added").inc()
-        return worker.name
-
-    def remove_worker(self, name: str | None = None) -> str:
-        """Retire one worker (autoscaler scale-down); returns its name.
-
-        With ``name=None`` the idle-most active worker goes: it
-        finishes its in-flight batch, its queued batches re-home to the
-        shared queue, and its stats remain in :meth:`stats`.  The last
-        active worker can never be removed.
-        """
-        if name is None:
-            active = self.pool.active_workers
-            if len(active) <= 1:
-                raise ValueError("cannot retire the last active worker")
-            name = min(active, key=lambda w: w.device_busy_s).name
-        self.pool.remove_worker(name)
-        self.metrics.counter("workers_removed").inc()
-        return name
 
     # -- submission --------------------------------------------------------------
 

@@ -332,10 +332,6 @@ class WorkerPool:
     on_batch:
         Callback invoked (from the worker thread) with each
         :class:`BatchOutcome`.
-    max_inflight:
-        Cap on dispatched-but-unfinished batches; :meth:`dispatch`
-        blocks at the cap, propagating backpressure to the admission
-        queue instead of buffering unboundedly (default: 2 per worker).
     breakers:
         Optional per-worker :class:`repro.engine.resilience.CircuitBreaker`
         map.  When present, every policy consults it: dispatch places
@@ -351,7 +347,6 @@ class WorkerPool:
         workers: list[DeviceWorker],
         policy: str | SchedulingPolicy = "fifo",
         on_batch: Callable[[BatchOutcome], None] | None = None,
-        max_inflight: int | None = None,
         breakers: dict[str, CircuitBreaker] | None = None,
     ):
         if not workers:
@@ -362,11 +357,7 @@ class WorkerPool:
         self.workers = workers
         self.policy = make_policy(policy)
         self.on_batch = on_batch
-        self.max_inflight = (
-            2 * len(workers) if max_inflight is None else max_inflight
-        )
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
+        self.max_inflight = 2 * len(workers)
         if breakers is not None:
             unknown = set(breakers) - {w.name for w in workers}
             if unknown:
@@ -374,16 +365,11 @@ class WorkerPool:
                     f"breakers for unknown workers: {sorted(unknown)}"
                 )
         self.breakers = breakers or {}
-        self._auto_inflight = max_inflight is None
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._shared: deque[Batch] = deque()
         self._private: dict[str, deque[Batch]] = {w.name: deque() for w in workers}
         self._pending_seconds: dict[str, float] = {w.name: 0.0 for w in workers}
-        #: names drained out of scheduling by :meth:`remove_worker`;
-        #: their stats stay visible through :attr:`workers`
-        self._retiring: set[str] = set()
-        self._started = False
         # batch_id -> (worker name, estimate) for batches counted in
         # _pending_seconds; the estimate is released at batch completion
         # (not pickup), so in-execution work stays visible to the
@@ -408,7 +394,6 @@ class WorkerPool:
     def start(self) -> None:
         if self._threads:
             raise RuntimeError("pool already started")
-        self._started = True
         for worker in self.workers:
             t = threading.Thread(
                 target=self._run_worker,
@@ -418,79 +403,6 @@ class WorkerPool:
             )
             self._threads.append(t)
             t.start()
-
-    # -- elastic capacity (the autoscaler's hooks) -------------------------------
-
-    @property
-    def active_workers(self) -> list[DeviceWorker]:
-        """Workers still eligible for new batches (retired ones excluded)."""
-        with self._lock:
-            return [w for w in self.workers if w.name not in self._retiring]
-
-    @property
-    def n_active(self) -> int:
-        return len(self.active_workers)
-
-    def add_worker(
-        self, worker: DeviceWorker, breaker: CircuitBreaker | None = None
-    ) -> None:
-        """Grow the pool by one worker, mid-run or before start.
-
-        The worker gets its own inbox and — when the pool is already
-        running — its own thread immediately; with the default
-        (auto-sized) inflight cap the cap grows with the pool so added
-        capacity is actually reachable.
-        """
-        with self._lock:
-            if any(w.name == worker.name for w in self.workers):
-                raise ValueError(f"worker name {worker.name!r} already in pool")
-            self.workers.append(worker)
-            self._private[worker.name] = deque()
-            self._pending_seconds[worker.name] = 0.0
-            if breaker is not None:
-                self.breakers[worker.name] = breaker
-            if self._auto_inflight:
-                self.max_inflight = 2 * (
-                    len(self.workers) - len(self._retiring)
-                )
-            started = self._started
-            self._work_ready.notify_all()
-        if started:
-            t = threading.Thread(
-                target=self._run_worker,
-                args=(worker,),
-                name=f"repro-engine-{worker.name}",
-                daemon=True,
-            )
-            self._threads.append(t)
-            t.start()
-
-    def remove_worker(self, name: str) -> None:
-        """Retire one worker: it finishes its current batch, then exits.
-
-        Batches already in its private inbox fall back to the shared
-        queue (another worker picks them up), its accumulated stats stay
-        visible through :attr:`workers`, and at least one active worker
-        always remains.
-        """
-        with self._lock:
-            names = {w.name for w in self.workers}
-            if name not in names:
-                raise ValueError(f"no worker named {name!r}")
-            if name in self._retiring:
-                return
-            if len(names - self._retiring) <= 1:
-                raise ValueError("cannot retire the last active worker")
-            self._retiring.add(name)
-            # re-home its queued batches so nothing strands
-            leftovers = self._private[name]
-            while leftovers:
-                self._shared.append(leftovers.popleft())
-            if self._auto_inflight:
-                self.max_inflight = max(
-                    1, 2 * (len(self.workers) - len(self._retiring))
-                )
-            self._work_ready.notify_all()
 
     def _admitting(self, worker: DeviceWorker) -> bool:
         breaker = self.breakers.get(worker.name)
@@ -505,10 +417,9 @@ class WorkerPool:
         the shared queue, where workers self-gate and the first breaker
         to half-open picks it up as a probe.
         """
-        active = [w for w in self.workers if w.name not in self._retiring]
-        candidates = [w for w in active if w.name not in batch.avoid]
+        candidates = [w for w in self.workers if w.name not in batch.avoid]
         if not candidates:  # every worker already failed it: relax avoid
-            candidates = active
+            candidates = self.workers
         admitting = [w for w in candidates if self._admitting(w)]
         if not admitting:
             return None
@@ -524,7 +435,7 @@ class WorkerPool:
     def dispatch(self, batch: Batch, wait_capacity: bool = True) -> None:
         """Hand a batch to the policy-selected inbox.
 
-        Blocks while ``max_inflight`` batches are outstanding — the
+        Blocks at two outstanding batches per worker — the
         pool-side half of the backpressure chain (worker slots fill →
         dispatch stalls → admission queue fills → submitters stall or
         shed).  Retry re-dispatches pass ``wait_capacity=False``: the
@@ -597,8 +508,6 @@ class WorkerPool:
                 private = self._private[worker.name]
                 if private:
                     return private.popleft()
-                if worker.name in self._retiring:
-                    return None  # retired and drained: the thread exits
                 if self._shared and (breaker is None or breaker.admit()):
                     return self._shared.popleft()
                 if self._stopping:

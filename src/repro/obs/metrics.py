@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import re
 import threading
-from collections import deque
 from typing import Iterable
 
 from repro.obs.percentiles import summarize
@@ -142,7 +140,6 @@ class BoundedHistogram(Histogram):
         lo: float = 1e-6,
         hi: float = 1e4,
         growth: float = 2.0 ** 0.25,
-        recent_window: int = 512,
     ):
         if not 0 < lo < hi:
             raise ValueError("need 0 < lo < hi")
@@ -159,10 +156,6 @@ class BoundedHistogram(Histogram):
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        #: last-N raw observations, for consumers (the autoscaler's
-        #: windowed wait tail) that need exact recent values; bounded,
-        #: so the flat-memory contract holds
-        self._recent: deque = deque(maxlen=max(1, recent_window))
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -176,13 +169,6 @@ class BoundedHistogram(Histogram):
                 self._min = v
             if v > self._max:
                 self._max = v
-            self._recent.append(v)
-
-    def recent(self, n: int | None = None) -> list[float]:
-        """The last ``n`` (default: all retained) raw observations."""
-        with self._lock:
-            values = list(self._recent)
-        return values if n is None else values[-n:]
 
     def observe_many(self, values: Iterable[float]) -> None:
         for v in values:
@@ -308,47 +294,3 @@ class MetricsRegistry:
             (f"{self.prefix}{name}" if self.prefix else name): m.snapshot()
             for name, m in sorted(metrics.items())
         }
-
-    def expose_text(self) -> str:
-        """OpenMetrics-style text exposition of every metric.
-
-        Counters and gauges become single samples; histograms become
-        summary-style ``_count``/``_sum`` samples plus ``quantile``
-        labels — the format a scrape endpoint or a log line both
-        accept.  Names are sanitized to ``[a-zA-Z0-9_:]`` (dots become
-        underscores), matching the exposition grammar.
-        """
-        with self._lock:
-            metrics = dict(self._metrics)
-        lines: list[str] = []
-        for name, metric in sorted(metrics.items()):
-            full = _sanitize(f"{self.prefix}{name}")
-            if isinstance(metric, Counter):
-                lines.append(f"# TYPE {full} counter")
-                lines.append(f"{full}_total {metric.value}")
-            elif isinstance(metric, Gauge):
-                lines.append(f"# TYPE {full} gauge")
-                lines.append(f"{full} {_fmt(metric.value)}")
-            else:
-                snap = metric.snapshot()
-                lines.append(f"# TYPE {full} summary")
-                lines.append(f"{full}_count {int(snap['count'])}")
-                lines.append(f"{full}_sum {_fmt(snap['sum'])}")
-                for q in ("p50", "p95", "p99"):
-                    lines.append(
-                        f'{full}{{quantile="0.{q[1:]}"}} '
-                        f"{_fmt(snap.get(q, 0.0))}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-_SANITIZE_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _sanitize(name: str) -> str:
-    out = _SANITIZE_RE.sub("_", name)
-    return out.rstrip("_")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))

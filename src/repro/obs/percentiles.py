@@ -52,9 +52,8 @@ def summarize(values: list[float]) -> dict[str, float]:
     An empty series keeps the zero-filled shape (callers that render
     tables rely on the keys existing) but says so via ``count``: a p99
     of 0.0 from zero samples is *absence of evidence*, not a perfectly
-    fast tail, and consumers that feed control loops (the autoscaler,
-    the telemetry SLO aggregates) must check ``count`` instead of
-    trusting the zeros.
+    fast tail, so consumers must check ``count`` instead of trusting
+    the zeros.
     """
     if not values:
         return {

@@ -11,7 +11,7 @@ The serving story at a glance::
         │                    spillover + breaker-aware rerouting
         ▼
     ExecutionEngine × N      each shard: bounded FIFO, §III-E batcher,
-                             device pool, elastic workers (Autoscaler)
+                             device pool
 
 :mod:`repro.serve.loadgen` generates seeded heavy-tailed traffic and
 replays it either on a deterministic virtual clock (the recorded
@@ -19,7 +19,6 @@ replays it either on a deterministic virtual clock (the recorded
 clock (smoke tests, chaos runs).
 """
 
-from repro.serve.autoscale import Autoscaler, AutoscalePolicy, ShardSignals
 from repro.serve.bench import (
     DEFAULT_LOAD_MULTIPLIERS,
     default_serve_chaos_plan,
@@ -46,21 +45,16 @@ from repro.serve.loadgen import (
     trace_to_json,
 )
 from repro.serve.sharding import ShardedEngine, ShardRing, stable_hash
-from repro.serve.telemetry import TierTelemetry
 
 __all__ = [
     "AdmissionGateway",
     "DEFAULT_LOAD_MULTIPLIERS",
-    "Autoscaler",
-    "AutoscalePolicy",
     "ServiceEstimate",
     "ShardedEngine",
     "ShardRing",
-    "ShardSignals",
     "TenantPolicy",
     "TenantThrottled",
     "TierSpec",
-    "TierTelemetry",
     "TokenBucket",
     "TraceEvent",
     "WorkloadSpec",

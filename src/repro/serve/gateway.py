@@ -184,12 +184,6 @@ class AdmissionGateway:
         )
         self._buckets: dict = {}
         self._buckets_lock = threading.Lock()
-        #: per-tenant outcome counts for the telemetry poller, bounded:
-        #: past ``max_tracked_tenants`` distinct ids the rest aggregate
-        #: under ``__other__`` so a tenant-id flood can't grow the map
-        self.max_tracked_tenants = 128
-        self._tenant_counts: dict = {}
-        self._tenants_lock = threading.Lock()
 
     # -- policy ------------------------------------------------------------------
 
@@ -238,7 +232,6 @@ class AdmissionGateway:
             ctx.emit("gateway", "admit", t=t, tenant=tenant)
         if not self.bucket_for(tenant).try_acquire(now=now):
             self.metrics.counter("tenant_throttled").inc()
-            self._count_tenant(tenant, "throttled")
             if ctx is not None:
                 ctx.emit(
                     "gateway", "throttled", t=t, status="shed",
@@ -249,7 +242,6 @@ class AdmissionGateway:
             )
         if self.would_miss_deadline(job, now=now):
             self.metrics.counter("deadline_preshed").inc()
-            self._count_tenant(tenant, "preshed")
             if ctx is not None:
                 ctx.emit(
                     "gateway", "deadline", t=t, status="shed",
@@ -266,7 +258,6 @@ class AdmissionGateway:
             # catch-all terminal: inner layers (sharding, engine) close
             # chains for the errors they own; first-terminal-wins in the
             # log makes this safe for the ones they already closed
-            self._count_tenant(tenant, "shed")
             if ctx is not None:
                 kind = (
                     "deadline"
@@ -281,37 +272,10 @@ class AdmissionGateway:
                 )
             raise
         self.metrics.counter("admitted").inc()
-        self._count_tenant(tenant, "admitted")
-        handle.add_done_callback(
-            lambda h, _tenant=tenant: self._observe_completion(_tenant, h)
-        )
+        handle.add_done_callback(self._observe_completion)
         return handle
 
-    def _count_tenant(self, tenant, key: str) -> None:
-        with self._tenants_lock:
-            counts = self._tenant_counts.get(tenant)
-            if counts is None:
-                if len(self._tenant_counts) >= self.max_tracked_tenants:
-                    tenant = "__other__"
-                counts = self._tenant_counts.setdefault(
-                    tenant,
-                    {
-                        "admitted": 0,
-                        "throttled": 0,
-                        "preshed": 0,
-                        "shed": 0,
-                        "completed": 0,
-                        "failed": 0,
-                    },
-                )
-            counts[key] += 1
-
-    def tenant_counts(self) -> dict:
-        """Per-tenant outcome counts (bounded; telemetry poller input)."""
-        with self._tenants_lock:
-            return {t: dict(c) for t, c in self._tenant_counts.items()}
-
-    def _observe_completion(self, tenant, handle: JobHandle) -> None:
+    def _observe_completion(self, handle: JobHandle) -> None:
         # feed the EWMA only from successful completions; error paths
         # (deadline sheds, worker faults) would bias the estimate with
         # truncated or pathological latencies
@@ -320,10 +284,8 @@ class AdmissionGateway:
             self.estimate.observe(latency)
             self.metrics.counter("completed").inc()
             self.metrics.histogram("latency_s").observe(latency)
-            self._count_tenant(tenant, "completed")
         else:
             self.metrics.counter("failed").inc()
-            self._count_tenant(tenant, "failed")
 
     # -- asyncio bridge ----------------------------------------------------------
 

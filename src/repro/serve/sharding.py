@@ -375,30 +375,6 @@ class ShardedEngine:
             )
         raise last_error
 
-    # -- capacity (autoscaler hooks) ---------------------------------------------
-
-    def scale_shard(self, name: str, target_workers: int) -> int:
-        """Grow/shrink one shard toward ``target_workers`` active workers.
-
-        Returns the delta actually applied (shrink stops at one active
-        worker).
-        """
-        shard = self.shards[name]
-        applied = 0
-        while shard.n_active_workers < target_workers:
-            shard.add_worker()
-            applied += 1
-        while shard.n_active_workers > max(1, target_workers):
-            shard.remove_worker()
-            applied -= 1
-        return applied
-
-    def active_workers(self) -> dict[str, int]:
-        return {
-            name: shard.n_active_workers
-            for name, shard in self.shards.items()
-        }
-
     # -- reporting ---------------------------------------------------------------
 
     def stats(self) -> dict:

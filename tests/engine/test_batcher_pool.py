@@ -1,5 +1,6 @@
 """Batcher coalescing and worker-pool scheduling policies."""
 
+import threading
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from repro.engine import (
     BoundedJobQueue,
     DeviceWorker,
     GammaJob,
+    WorkerPool,
     make_policy,
 )
 from repro.engine.pool import (
@@ -237,3 +239,20 @@ class TestDeviceWorker:
         worker = DeviceWorker("cpu0", device_name="CPU")
         outcome = worker.execute(Batch(jobs=[_job(n=128)]))
         assert outcome.batch_device_seconds > 0
+
+
+class TestPoolBackpressure:
+    def test_dispatch_blocks_at_two_batches_per_worker(self):
+        """Unstarted pool: nothing completes, so the cap holds until stop."""
+        pool = WorkerPool([DeviceWorker("w0")])
+        pool.dispatch(Batch(jobs=[_job(1)]))
+        pool.dispatch(Batch(jobs=[_job(2)]))
+        third = threading.Thread(
+            target=pool.dispatch, args=(Batch(jobs=[_job(3)]),), daemon=True
+        )
+        third.start()
+        third.join(0.3)
+        assert third.is_alive()
+        pool.stop()
+        third.join(5.0)
+        assert not third.is_alive()

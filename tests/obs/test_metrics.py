@@ -173,28 +173,6 @@ class TestMetricsRegistry:
         assert reg.histogram("h") is first
         assert reg.histogram("h", bounded=False) is first
 
-    def test_expose_text_format(self):
-        reg = MetricsRegistry(prefix="engine.")
-        reg.counter("jobs").inc(3)
-        reg.gauge("inflight").set(2.0)
-        reg.histogram("wait", bounded=True).observe_many([0.1, 0.2, 0.3])
-        text = reg.expose_text()
-        lines = text.splitlines()
-        assert "# TYPE engine_jobs counter" in lines
-        assert "engine_jobs_total 3" in lines
-        assert "engine_inflight 2.0" in lines
-        assert "engine_wait_count 3" in lines
-        assert any(
-            line.startswith('engine_wait{quantile="0.95"}')
-            for line in lines
-        )
-        # exposition names stay in [a-zA-Z0-9_:]
-        for line in lines:
-            name = line.split("{")[0].split()[1 if line.startswith("#") else 0]
-            assert all(
-                c.isalnum() or c in "_:" for c in name.replace("# TYPE ", "")
-            ), line
-
     def test_serving_registries_default_to_bounded(self):
         """Gateway/tier/engine registries hold flat memory on soaks."""
         from repro.engine.engine import ExecutionEngine

@@ -132,16 +132,6 @@ class TestShardedEngine:
         assert report["totals"]["jobs_completed"] == 10
         assert set(report["shards"]) == {"shard0", "shard1"}
 
-    def test_scale_shard(self):
-        with ShardedEngine(n_shards=1, n_workers=1) as tier:
-            assert tier.active_workers() == {"shard0": 1}
-            applied = tier.scale_shard("shard0", 3)
-            assert applied == 2
-            assert tier.active_workers() == {"shard0": 3}
-            applied = tier.scale_shard("shard0", 1)
-            assert applied == -2
-            assert tier.active_workers() == {"shard0": 1}
-
     def test_unresolved_handles_zero_after_shutdown(self):
         with ShardedEngine(n_shards=2, n_workers=1) as tier:
             handles = [tier.submit(_job(seed=i)) for i in range(8)]
