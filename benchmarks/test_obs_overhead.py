@@ -3,9 +3,11 @@
 The acceptance bar for the tracing layer: with the default
 :class:`~repro.obs.NullTracer`, ``DataflowRegion.run`` adds < 10%
 runtime over a re-implementation of the bare pre-instrumentation loop.
-The instrumented path only engages when a tracer is enabled (one
-``get_tracer()``/``enabled`` check per *run*, not per cycle), so the
-disabled cost is one function call amortized over the whole simulation.
+The tracer is resolved once per run (one ``get_tracer()``/``enabled``
+check); past that, an untraced run pays one flag check per ticked
+process and one per loop cycle.  A traced run takes the same parked
+loop and classifies each tick, so its cost is bounded against the
+untraced run's.
 """
 
 import time
@@ -73,8 +75,8 @@ def test_disabled_tracing_under_ten_percent():
 
 
 def test_enabled_tracing_cost_is_bounded():
-    """Per-cycle classification costs real time; keep it within an
-    order of magnitude so traced runs stay practical."""
+    """Classifying each tick costs real time, but a traced run parks
+    and jumps like an untraced one: keep it within 4x plus 10 ms."""
     baseline = _best_of(lambda sim: sim.region.run(), n=3)
     traced = _best_of(
         lambda sim: sim.region.run(tracer=ChromeTracer()), n=3
@@ -84,7 +86,7 @@ def test_enabled_tracing_cost_is_bounded():
         f"traced {1e3 * traced:.2f} ms "
         f"({traced / baseline:.1f}x)"
     )
-    assert traced < baseline * 10 + 0.05
+    assert traced < baseline * 4 + 0.01
 
 
 def test_region_results_identical_with_and_without_tracing():

@@ -27,15 +27,10 @@ its hint names or, for ``NO_SELF_EVENT``, until the next ``write``,
 ``read`` or ``close`` on one of its streams; on waking, its
 ``skip_cycles`` credits the slept cycles.  When every live process is
 parked the loop jumps the channels straight to the earliest event.
-Reports are identical to the reference loop's
-(``docs/simulator_fastpath.md``).  Instrumented runs (tracer or
-explicit attribution) tick every process each cycle and skip only
-windows in which every process stalls: such a window provably repeats
-the stall classification of the cycle before it, so it is emitted as
-one bulk :meth:`~repro.obs.stall.StallAttribution.skip_window` span
-and the trace/report is identical to the reference loop's (the
-instrumented skip stops one cycle short of the event horizon so the
-boundary cycle is classified by a real tick).
+Traced runs (tracer or explicit attribution) park and jump alike: a
+parked process's stall class holds for its whole sleep, so it is
+recorded as one interval.  Reports and traces are identical to the
+reference loop's (``docs/simulator_fastpath.md``).
 """
 
 from __future__ import annotations
@@ -192,9 +187,8 @@ class DataflowRegion:
             Enable the cycle-skipping fast path (default: on).
             ``False`` forces the reference one-cycle-at-a-time loop —
             the differential-equivalence suite runs both and asserts
-            identical reports.  Instrumented runs skip as well,
-            emitting each dead window as one bulk attribution span
-            with a trace/report identical to the reference loop's.
+            identical reports.  Instrumented runs park too, with the
+            same ticks and skips and an identical trace and report.
 
         Raises
         ------
@@ -284,109 +278,78 @@ def run_cycles(
     counted into ``owner.skipped_cycles`` (reset here), so the count
     survives an abort.
 
-    ``fast`` without an ``attribution`` runs :func:`_run_parked`, which
-    skips each stalled process until its wait ends.  ``fast=False``
-    ticks every live process every cycle: the reference the
-    differential suite compares against.
+    ``fast`` runs :func:`_run_parked`, which skips each stalled process
+    until its wait ends.  ``fast=False`` ticks every live process every
+    cycle: the reference the differential suite compares against.
 
-    With an ``attribution`` each cycle is also classified into the
-    :mod:`repro.obs.stall` taxonomy (see :func:`_attributed_cycle`),
-    and ``fast`` jumps only windows in which every process stalls, as
-    one bulk attribution span.  The attribution is closed on every exit
-    path (normal, runaway, deadlock) alike.
+    With an ``attribution`` both loops also classify each tick into the
+    :mod:`repro.obs.stall` taxonomy (:func:`_classify`), with the same
+    ticks and skips as without, and close it at their final cycle on
+    every exit path: normal, runaway and deadlock alike.
 
     Returns the final cycle and the cycle at which each process (by
     name) finished — ``0`` for processes already done at the start.
     """
     owner.skipped_cycles = 0
-    if fast and attribution is None:
-        return _run_parked(owner, label, regions, ordered, channels, max_cycles)
+    if fast:
+        return _run_parked(
+            owner, label, regions, ordered, channels, max_cycles, attribution
+        )
     cycle = 0
     done_at = {p.name: 0 for p in ordered if p.done()}
     live = [p for p in ordered if not p.done()]
-    states: dict[str, str] = {}
     try:
         while live:
             if cycle >= max_cycles:
                 raise RuntimeError(f"{label} exceeded {max_cycles} cycles")
             if attribution is None:
-                proc_progress = False
+                progressed = False
                 for proc in live:
                     if proc.tick(cycle):
-                        proc_progress = True
-                progressed = proc_progress
+                        progressed = True
                 for channel in channels:
                     if channel.tick(cycle):
                         progressed = True
             else:
-                proc_progress, progressed, states = _attributed_cycle(
+                progressed = _attributed_cycle(
                     ordered, live, channels, cycle, attribution
                 )
+            cycle += 1  # a stalled cycle still counts
             if not progressed:
                 raise DeadlockError(
-                    _deadlock_message(label, regions, channels, cycle)
+                    _deadlock_message(label, regions, channels, cycle - 1)
                 )
-            cycle += 1
             still = [p for p in live if not p.done()]  # done() is monotone
             if len(still) != len(live):
                 for proc in live:
                     if proc.done():
                         done_at[proc.name] = cycle
                 live = still
-            # an instrumented fast run probes for a dead window only
-            # after a cycle in which every process stalled (channel-only
-            # progress)
-            if fast and live and not proc_progress:
-                span = _skip_window(live, channels, cycle)
-                if span > max_cycles - cycle:
-                    span = max_cycles - cycle  # stop exactly at the guard
-                # stop one cycle short of the event horizon: the boundary
-                # cycle is where classification changes (at a
-                # burst-completion tick the owner is no longer attributed
-                # ``transfer``) and must be observed by a real tick
-                span -= 1
-                if span >= 2:
-                    busy_before = [ch.stats.busy_cycles for ch in channels]
-                    for proc in live:
-                        proc.skip_cycles(cycle, span)
-                    for channel in channels:
-                        channel.skip_cycles(cycle, span)
-                    # every live process repeats the state it was
-                    # attributed on the cycle just before the window
-                    attribution.skip_window(
-                        cycle,
-                        span,
-                        states,
-                        [
-                            ch.stats.busy_cycles - before
-                            for ch, before in zip(channels, busy_before)
-                        ],
-                    )
-                    owner.skipped_cycles += span
-                    cycle += span
     finally:
         if attribution is not None:
-            # no-arg close: spans end at the last recorded cycle
-            attribution.close()
+            attribution.close(cycle)
     return cycle, done_at
 
 
 class _Sleeper:
-    """Loop-side state of one live process on the untraced fast path.
+    """Loop-side state of one live process on the fast path.
 
     Awake: ``since`` is ``None`` and ``until`` is 0.  Parked after a
     stalled tick: ``since`` is the first cycle not ticked and ``until``
     the first cycle to tick again — the cycle the process's
     ``next_event`` hint named, or :data:`NO_SELF_EVENT` until a wake
-    slot on one of its streams runs :meth:`wake`.
+    slot on one of its streams runs :meth:`wake`.  On a traced run
+    ``state`` is the stall class of the last tick without channel
+    ownership: a parked process repeats it.
     """
 
-    __slots__ = ("proc", "since", "until")
+    __slots__ = ("proc", "since", "until", "state")
 
     def __init__(self, proc: Process):
         self.proc = proc
         self.since: int | None = None
         self.until: float = 0
+        self.state: str | None = None
 
     def wake(self) -> None:
         # a finite hint holds while other processes act; only an
@@ -413,9 +376,15 @@ class _Sleeper:
 
 
 def _run_parked(
-    owner, label: str, regions, ordered: list[Process], channels, max_cycles: int
+    owner,
+    label: str,
+    regions,
+    ordered: list[Process],
+    channels,
+    max_cycles: int,
+    attribution: StallAttribution | None,
 ) -> tuple[int, dict[str, int]]:
-    """:func:`run_cycles` on the untraced fast path: park stalled processes.
+    """:func:`run_cycles` on the fast path: park stalled processes.
 
     A process whose tick stalled and whose ``next_event`` hint, read
     between cycles, is not ``None`` is parked: skipped until the cycle
@@ -428,70 +397,105 @@ def _run_parked(
     from a stall repeat.  ``skip_cycles`` credits the slept cycles on
     waking, or on an abort.  When every live process is parked the
     loop jumps the channels to the earliest wake or channel event.
+
+    With an ``attribution`` each cycle records only what may have
+    changed (:func:`_record_parked`), so a sleep is one interval.
     """
+    traced = attribution is not None
     cycle = 0
     done_at = {p.name: 0 for p in ordered if p.done()}
     sleepers = [_Sleeper(p) for p in ordered if not p.done()]
     parked = 0
-    while sleepers:
-        if cycle >= max_cycles:
-            _credit_sleepers(sleepers, cycle)
-            raise RuntimeError(f"{label} exceeded {max_cycles} cycles")
-        progressed = finished = False
-        stalled = []
-        for s in sleepers:
-            if s.until > cycle:
-                continue  # parked: its tick would repeat the stall
-            if s.since is not None:
-                s.resume(cycle)
-                parked -= 1
-            proc = s.proc
-            if proc.tick(cycle):
-                progressed = True
-                if proc.done():
-                    finished = True
-            elif proc.done():
-                finished = True
-            else:
-                stalled.append(s)
-        for channel in channels:
-            if channel.tick(cycle):
-                progressed = True
-        if not progressed:
-            _credit_sleepers(sleepers, cycle + 1)
-            raise DeadlockError(
-                _deadlock_message(label, regions, channels, cycle)
-            )
-        cycle += 1
-        if finished:  # done() is monotone and only a tick flips it
-            alive = []
+    ticked: list[tuple[_Sleeper, tuple]] = []  # traced: pre-tick samples
+    owners: set[str] = set()  # traced: owners of the draining bursts
+    if traced and sleepers and max_cycles > 0:
+        attribution.record_cycle(0, dict.fromkeys(done_at, _stall.DONE), ())
+    try:
+        while sleepers:
+            if cycle >= max_cycles:
+                _credit_sleepers(sleepers, cycle)
+                raise RuntimeError(f"{label} exceeded {max_cycles} cycles")
+            progressed = finished = False
+            stalled = []
             for s in sleepers:
-                if s.since is None and s.proc.done():
-                    done_at[s.proc.name] = cycle
+                if s.until > cycle:
+                    continue  # parked: its tick would repeat the stall
+                if s.since is not None:
+                    s.resume(cycle)
+                    parked -= 1
+                proc = s.proc
+                if traced:
+                    ticked.append((s, _sample(proc)))
+                if proc.tick(cycle):
+                    progressed = True
+                    if proc.done():
+                        finished = True
+                elif proc.done():
+                    finished = True
                 else:
-                    alive.append(s)
-            sleepers = alive
-        # hints are read only between cycles: MemoryChannel caches
-        # the completion it predicts
-        for s in stalled:
-            event = s.proc.next_event(cycle)
-            if event is not None:
-                s.park(cycle, event)
-                parked += 1
-        if sleepers and parked == len(sleepers):
-            horizon = min(s.until for s in sleepers)
-            for channel in channels:
-                event = channel.next_event(cycle)
-                if event < horizon:
-                    horizon = event
-            # an all-inf horizon is a deadlock the next cycle raises
-            if horizon != NO_SELF_EVENT:
-                span = min(int(horizon), max_cycles) - cycle
-                if span > 0:
-                    for channel in channels:
-                        channel.skip_cycles(cycle, span)
-                    owner.skipped_cycles += span
-                    cycle += span
+                    stalled.append(s)
+            if traced:
+                busy = [channel.tick(cycle) for channel in channels]
+                if any(busy):
+                    progressed = True
+                owners = _record_parked(
+                    attribution, cycle, sleepers, ticked, channels, busy, owners
+                )
+            else:
+                for channel in channels:
+                    if channel.tick(cycle):
+                        progressed = True
+            cycle += 1  # a stalled cycle still counts
+            if not progressed:
+                _credit_sleepers(sleepers, cycle)
+                raise DeadlockError(
+                    _deadlock_message(label, regions, channels, cycle - 1)
+                )
+            if finished:  # done() is monotone and only a tick flips it
+                alive = []
+                for s in sleepers:
+                    if s.since is None and s.proc.done():
+                        done_at[s.proc.name] = cycle
+                    else:
+                        alive.append(s)
+                sleepers = alive
+                if traced and sleepers and cycle < max_cycles:
+                    attribution.record_cycle(
+                        cycle,
+                        {n: _stall.DONE for n, c in done_at.items() if c == cycle},
+                        (),
+                    )
+            # hints are read only between cycles: MemoryChannel caches
+            # the completion it predicts
+            for s in stalled:
+                event = s.proc.next_event(cycle)
+                if event is not None:
+                    s.park(cycle, event)
+                    parked += 1
+            if sleepers and parked == len(sleepers):
+                horizon = min(s.until for s in sleepers)
+                for channel in channels:
+                    event = channel.next_event(cycle)
+                    if event < horizon:
+                        horizon = event
+                # an all-inf horizon is a deadlock the next cycle raises
+                if horizon != NO_SELF_EVENT:
+                    span = min(int(horizon), max_cycles) - cycle
+                    if span > 0:
+                        for channel in channels:
+                            channel.skip_cycles(cycle, span)
+                        if traced:
+                            # a burst completes in a jump only on its last
+                            # cycle: the horizon is the completion plus one
+                            owners = _record_parked(
+                                attribution, cycle + span - 1, sleepers,
+                                ticked, channels, (), owners,
+                            )
+                        owner.skipped_cycles += span
+                        cycle += span
+    finally:
+        if traced:
+            attribution.close(cycle)
     return cycle, done_at
 
 
@@ -502,110 +506,117 @@ def _credit_sleepers(sleepers: list[_Sleeper], end: int) -> None:
             s.resume(end)
 
 
+def _sample(proc: Process) -> tuple:
+    """Pre-tick counters for :func:`_classify`, taken *after* the
+    upstream processes ticked this cycle."""
+    return (
+        proc.stats.active_cycles,
+        proc.stall_reason(),
+        [s.read_stalls for s in proc.inputs()],
+        [s.write_stalls for s in proc.outputs()],
+    )
+
+
+def _classify(proc: Process, sample: tuple) -> str:
+    """Stall class of the tick ``sample`` was taken before.
+
+    Found by diffing the progress counters around ``tick()``:
+
+    * ``active_cycles`` moved → compute;
+    * an output stream's ``write_stalls`` moved → FIFO full;
+    * an input stream's ``read_stalls`` moved → FIFO empty;
+    * otherwise the process's own :meth:`Process.stall_reason` —
+      channel-grant waits and initiation-interval bubbles classify
+      themselves.
+
+    The owner of a draining burst is ``transfer`` instead; callers
+    apply that, as a parked process keeps the class without it.
+    """
+    active0, reason, reads0, writes0 = sample
+    if proc.stats.active_cycles > active0:
+        return _stall.COMPUTE
+    if any(s.write_stalls > w0 for s, w0 in zip(proc.outputs(), writes0)):
+        return _stall.FIFO_FULL
+    if any(s.read_stalls > r0 for s, r0 in zip(proc.inputs(), reads0)):
+        return _stall.FIFO_EMPTY
+    return reason if reason is not None else _stall.PIPELINE
+
+
+def _owners(channels) -> set[str]:
+    """Names of the processes whose burst is draining on a channel."""
+    return {ch._current.owner for ch in channels if ch._current is not None}
+
+
 def _attributed_cycle(
     ordered: list[Process],
     live: list[Process],
     channels,
     cycle: int,
     attribution: StallAttribution,
-) -> tuple[bool, bool, dict[str, str]]:
-    """One instrumented cycle: tick everything, classify every process.
+) -> bool:
+    """One reference cycle on a traced run: tick and classify everything.
 
-    Same tick order as the untraced loop, plus a classification of
-    every process found by diffing its progress counters around
-    ``tick()``:
-
-    * ``active_cycles`` moved → compute;
-    * an output stream's ``write_stalls`` moved → FIFO full;
-    * an input stream's ``read_stalls`` moved → FIFO empty;
-    * the process owns the burst draining on a channel → transfer;
-    * otherwise the process's own :meth:`Process.stall_reason` —
-      channel-grant waits and initiation-interval bubbles classify
-      themselves.
-
-    The counters and ``stall_reason()`` are sampled immediately before
-    each process ticks, i.e. *after* its upstream processes already
-    ticked this cycle.  Returns ``(process progress, any progress,
-    states)``.
+    Records finished processes first, then live ones in topological
+    order — the order the exported spans follow.  Returns whether
+    anything progressed.
     """
-    # finished processes first, then live ones in topological order —
-    # the insertion order the exported span order follows
     states = {p.name: _stall.DONE for p in ordered if p.done()}
-    pre = []
-    proc_progress = False
+    samples = []
+    progressed = False
     for proc in live:
-        pre.append(
-            (
-                proc,
-                proc.stats.active_cycles,
-                proc.stall_reason(),
-                tuple(s.read_stalls for s in proc.inputs()),
-                tuple(s.write_stalls for s in proc.outputs()),
-            )
-        )
+        samples.append(_sample(proc))
         if proc.tick(cycle):
-            proc_progress = True
-    progressed = proc_progress
-    owners: set[str] = set()
-    channels_busy: list[bool] = []
-    for channel in channels:
-        busy = channel.tick(cycle)
-        if busy:
             progressed = True
-        channels_busy.append(busy)
-        current = channel._current
-        if current is not None:
-            owners.add(current.owner)
-    for proc, active0, reason, reads0, writes0 in pre:
-        if proc.name in owners:
-            state = _stall.TRANSFER
-        elif proc.stats.active_cycles > active0:
-            state = _stall.COMPUTE
-        elif any(
-            s.write_stalls > w0 for s, w0 in zip(proc.outputs(), writes0)
-        ):
-            state = _stall.FIFO_FULL
-        elif any(s.read_stalls > r0 for s, r0 in zip(proc.inputs(), reads0)):
-            state = _stall.FIFO_EMPTY
-        elif reason is not None:
-            state = reason
-        else:
-            state = _stall.PIPELINE
-        states[proc.name] = state
-    attribution.record_cycle(cycle, states, channels_busy)
-    return proc_progress, progressed, states
+    busy = [channel.tick(cycle) for channel in channels]
+    if any(busy):
+        progressed = True
+    owners = _owners(channels)
+    for proc, sample in zip(live, samples):
+        states[proc.name] = (
+            _stall.TRANSFER if proc.name in owners else _classify(proc, sample)
+        )
+    attribution.record_cycle(cycle, states, busy)
+    return progressed
 
 
-def _skip_window(live: list[Process], channels, cycle: int) -> int:
-    """Length of the provably dead window starting at ``cycle``
-    (instrumented runs).
+def _record_parked(
+    attribution: StallAttribution,
+    cycle: int,
+    sleepers: list[_Sleeper],
+    ticked: list,
+    channels,
+    busy,
+    owners: set[str],
+) -> set[str]:
+    """Record one cycle of :func:`_run_parked`; returns the new owners.
 
-    Asks every live process and channel for its
-    :meth:`~repro.core.process.Process.next_event` hint.  Any ``None``
-    (no guarantee) disables skipping; an all-``inf`` answer means
-    nothing self-times, so the next reference tick must decide (it is
-    the one that can raise :class:`DeadlockError`).  A finite horizon
-    is safe to jump to because within the window every process repeats
-    its current stall/bubble accounting and at most the first channel
-    completion lands — exactly at ``horizon - 1``, observed at
-    ``horizon``.  Across pipeline regions the hints compose: each
-    already means "nothing I observe changes", and during a window in
-    which *no* process anywhere acts, nothing anywhere changes.
+    Records, in topological order, each process in ``ticked``
+    (consumed) and each parked one whose burst started or ended
+    draining since ``owners`` was taken.  A parked process repeats the
+    class of its last stalled tick, or is ``transfer`` while its burst
+    drains.  A jump passes no ticks: it grants no burst, since a grant
+    follows a completion whose owner wakes the next cycle.
     """
-    horizon: float = float("inf")
-    for proc in live:
-        event = proc.next_event(cycle)
-        if event is None:
-            return 0
-        if event < horizon:
-            horizon = event
-    for channel in channels:
-        event = channel.next_event(cycle)
-        if event < horizon:
-            horizon = event
-    if horizon == float("inf"):
-        return 0
-    return int(horizon) - cycle
+    now = _owners(channels)
+    live = {}
+    for s, sample in ticked:
+        name = s.proc.name
+        s.state = _classify(s.proc, sample)
+        live[name] = _stall.TRANSFER if name in now else s.state
+    ticked.clear()
+    if now != owners:
+        merged = {}
+        for s in sleepers:
+            name = s.proc.name
+            if name in live:
+                merged[name] = live[name]
+            elif name in now:
+                merged[name] = _stall.TRANSFER
+            elif name in owners:
+                merged[name] = s.state
+        live = merged
+    attribution.record_cycle(cycle, live, busy)
+    return now
 
 
 def _deadlock_message(label: str, regions, channels, cycle: int) -> str:

@@ -180,9 +180,8 @@ class MemoryChannel:
         burst finishes first.  An idle channel with an empty queue never
         self-generates an event (``inf``).  Exact because arbitration is
         FIFO: the loop asks only between cycles, before jumping a window
-        in which every process is parked (untraced) or stalled
-        (instrumented), so no submission lands inside it, and later
-        ones queue behind.
+        in which every process is parked, so no submission lands inside
+        it, and later ones queue behind.
         """
         if self._current is not None:
             # draining burst: completes at cycle + _remaining - 1

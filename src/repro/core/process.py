@@ -90,11 +90,12 @@ class Process(abc.ABC):
     def stall_reason(self) -> str | None:
         """Why the *next* tick would stall, if the process knows.
 
-        Sampled by the instrumented region loop *before* ``tick()`` and
-        consulted only when the cycle shows no progress and no FIFO
-        poll failed — the cases the stream counters cannot explain
-        (channel-grant waits, initiation-interval bubbles).  Values are
-        the :mod:`repro.obs.stall` state names; ``None`` means "no
+        Sampled on traced runs *before* each ``tick()`` and consulted
+        only when the tick shows no progress and no FIFO poll failed —
+        the cases the stream counters cannot explain (channel-grant
+        waits, initiation-interval bubbles).  A parked process is not
+        sampled: it repeats the class of its last stalled tick.  Values
+        are the :mod:`repro.obs.stall` state names; ``None`` means "no
         specific reason" and classifies as a generic pipeline bubble.
         """
         return None
@@ -138,14 +139,13 @@ class Process(abc.ABC):
         """Apply ``count`` cycles of bulk stall accounting.
 
         Called by the fast path only for cycles validated by
-        :meth:`next_event`: on an untraced run when a parked process
-        wakes, or the run aborts, with the ``count`` cycles it slept
-        from ``cycle`` on; on an instrumented run for a window in which
-        every process stalls.  Other processes may have acted since the
-        hint was read, so the crediting depends only on this process's
-        own state, which a parked process keeps.  Must leave this
-        process (and its streams' counters) in exactly the state
-        ``count`` reference ticks would have.
+        :meth:`next_event`: when a parked process wakes, or the run
+        aborts, with the ``count`` cycles it slept from ``cycle`` on.
+        Other processes may have acted since the hint was read, so the
+        crediting depends only on this process's own state, which a
+        parked process keeps.  Must leave this process (and its
+        streams' counters) in exactly the state ``count`` reference
+        ticks would have.
         """
         raise RuntimeError(
             f"{type(self).__name__}({self.name!r}) advertised a skippable "

@@ -90,9 +90,9 @@ def trace_region(
     (``trace.report.stall_report``) and — when a tracer is active —
     the Chrome trace-event timeline.
 
-    Passing an attribution pins the run to the reference
-    one-cycle-at-a-time loop (the cycle-skipping fast path is never
-    used for instrumented runs), so lanes cover every cycle exactly.
+    The run takes the fast path, which records a parked process's
+    sleep as one interval; the lanes still cover every cycle, identical
+    to the reference loop's.
     """
     if tracer is None:
         tracer = get_tracer()

@@ -24,17 +24,20 @@ of cycles where at least one process computes *while* the memory
 channel is draining a burst.  A decoupled region shows substantial
 overlap (Fig 3's interleaving); a serialized design shows ~0.
 
-:class:`StallAttribution` is driven per cycle by the shared cycle loop
-(:func:`~repro.core.dataflow.run_cycles`); it compresses consecutive same-state cycles into windows,
-emits each window as a Chrome ``cat="cycle"`` span through the
-injected :class:`~repro.obs.tracer.Tracer`, and produces a
-:class:`StallReport`.  :func:`reports_from_trace` reconstructs the same
-report from an exported trace file (the ``trace-report`` CLI path).
+:class:`StallAttribution` is driven by the shared cycle loop
+(:func:`~repro.core.dataflow.run_cycles`) with the states that may
+have changed each cycle.  It keeps one open window per process and
+channel, credits each window as one interval when it closes, emits it
+as a Chrome ``cat="cycle"`` span through the injected
+:class:`~repro.obs.tracer.Tracer`, and produces a :class:`StallReport`.
+:func:`reports_from_trace` reconstructs the same report from an
+exported trace file (the ``trace-report`` CLI path).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.obs.tracer import NullTracer, Tracer
@@ -188,7 +191,7 @@ class StallReport:
 
 
 class StallAttribution:
-    """Per-cycle classifier driven by the shared cycle loop.
+    """Interval recorder of stall classes, driven by the shared cycle loop.
 
     Parameters
     ----------
@@ -198,7 +201,7 @@ class StallAttribution:
         Sink for the compressed cycle-window spans (``NullTracer`` keeps
         the attribution purely in-memory).
     keep_lanes:
-        Also record the per-cycle Fig 3 symbol lanes (C/T/w/.) that
+        Also build the per-cycle Fig 3 symbol lanes (C/T/w/.) that
         :class:`~repro.core.schedule.ScheduleTrace` renders.
     """
 
@@ -217,12 +220,15 @@ class StallAttribution:
         self._tracks: dict[str, object] = {}
         self._channel_busy: list[int] = []
         self._channel_windows: dict[int, int | None] = {}  # idx -> busy start
+        self._computing = 0  # open process windows in ``compute``
+        self._busy = 0  # open channel busy windows
+        self._mark = 0  # the headline is credited up to this cycle
         self._compute_cycles = 0
         self._overlap_cycles = 0
         self._cycles = 0
         self._closed = False
 
-    # -- per-cycle driving -------------------------------------------------------
+    # -- interval driving --------------------------------------------------------
 
     def _track(self, name: str):
         track = self._tracks.get(name)
@@ -231,17 +237,32 @@ class StallAttribution:
             self._tracks[name] = track
         return track
 
+    def _advance(self, cycle: int) -> None:
+        """Credit the compute/overlap headline over ``[_mark, cycle)``."""
+        if self._computing:
+            span = cycle - self._mark
+            self._compute_cycles += span
+            if self._busy:
+                self._overlap_cycles += span
+        self._mark = cycle
+
     def _flush_window(self, name: str, end_cycle: int) -> None:
-        window = self._windows.pop(name, None)
-        if window is None:
+        state, start = self._windows.pop(name)
+        span = end_cycle - start
+        if self.keep_lanes:
+            self.lanes[name].extend(_SYMBOLS.get(state, "w") * span)
+        if state == DONE:
             return
-        state, start = window
-        if state != DONE and self.tracer.enabled:
+        if state == COMPUTE:
+            self._computing -= 1
+        counts = self._counts[name]
+        counts[state] = counts.get(state, 0) + span
+        if self.tracer.enabled:
             self.tracer.complete(
                 self._track(name),
                 state,
                 ts_us=start * CYCLE_US,
-                dur_us=(end_cycle - start) * CYCLE_US,
+                dur_us=span * CYCLE_US,
                 cat="cycle",
             )
 
@@ -249,107 +270,53 @@ class StallAttribution:
         self,
         cycle: int,
         states: dict[str, str],
-        channels_busy: list[bool],
+        channels_busy: Sequence[bool],
     ) -> None:
-        """Attribute one cycle: every process's state + channel activity."""
-        any_compute = False
-        for name, state in states.items():
-            if state == COMPUTE:
-                any_compute = True
-            counts = self._counts.get(name)
-            if counts is None:
-                counts = {}
-                self._counts[name] = counts
-                if self.keep_lanes:
-                    self.lanes[name] = []
-            if state != DONE:
-                counts[state] = counts.get(state, 0) + 1
-            if self.keep_lanes:
-                self.lanes[name].append(_SYMBOLS.get(state, "w"))
-            window = self._windows.get(name)
-            if window is None:
-                self._windows[name] = (state, cycle)
-            elif window[0] != state:
-                self._flush_window(name, cycle)
-                self._windows[name] = (state, cycle)
-        any_busy = False
-        for i, busy in enumerate(channels_busy):
-            while len(self._channel_busy) <= i:
-                self._channel_busy.append(0)
-                self._channel_windows[len(self._channel_busy) - 1] = None
-            if busy:
-                any_busy = True
-                self._channel_busy[i] += 1
-                if self._channel_windows[i] is None:
-                    self._channel_windows[i] = cycle
-            elif self._channel_windows[i] is not None:
-                self._flush_channel(i, cycle)
-        if any_compute:
-            self._compute_cycles += 1
-            if any_busy:
-                self._overlap_cycles += 1
-        self._cycles = cycle + 1
+        """Record the state of each given process and channel at ``cycle``.
 
-    def skip_window(
-        self,
-        cycle: int,
-        span: int,
-        states: dict[str, str],
-        channel_busy_counts: list[int],
-    ) -> None:
-        """Attribute a provably dead window of ``span`` cycles in one call.
-
-        The instrumented fast path
-        (:func:`~repro.core.dataflow.run_cycles`) calls this in
-        place of ``span`` individual :meth:`record_cycle` calls when
-        every live process is guaranteed to repeat the state it was
-        attributed on the cycle just before the window.  Counts advance
-        by ``span`` at once and open same-state windows simply widen, so
-        the compressed trace spans — and therefore the exported trace
-        and the :class:`StallReport` — are identical to per-cycle
-        recording.  ``channel_busy_counts`` carries the busy cycles each
-        channel credited in its own ``skip_cycles`` (a busy channel
-        drains for the whole window; an idle one stays idle).  A dead
-        window contains no compute cycles by construction, so the
-        compute/overlap headline counters are untouched.
+        A process (or channel) whose state differs from its open window
+        closes that window at ``cycle`` and opens a new one; the same
+        state, or a process or channel left out, keeps the window open.
+        So a caller passes only what may have changed at ``cycle``.
+        Counts, lanes and channel busy cycles are credited when a window
+        closes, for its whole length.  Calls come in nondecreasing
+        ``cycle`` order; windows close in call order, which fixes the
+        order of the trace spans.
         """
+        self._advance(cycle)
+        windows = self._windows
         for name, state in states.items():
-            counts = self._counts.get(name)
-            if counts is None:
-                counts = {}
-                self._counts[name] = counts
+            window = windows.get(name)
+            if window is None:
+                self._counts[name] = {}
                 if self.keep_lanes:
                     self.lanes[name] = []
-            if state != DONE:
-                counts[state] = counts.get(state, 0) + span
-            if self.keep_lanes:
-                self.lanes[name].extend([_SYMBOLS.get(state, "w")] * span)
-            window = self._windows.get(name)
-            if window is None:
-                self._windows[name] = (state, cycle)
-            elif window[0] != state:
+            elif window[0] == state:
+                continue
+            else:
                 self._flush_window(name, cycle)
-                self._windows[name] = (state, cycle)
-        for i, busy in enumerate(channel_busy_counts):
-            while len(self._channel_busy) <= i:
+            windows[name] = (state, cycle)
+            if state == COMPUTE:
+                self._computing += 1
+        for i, busy in enumerate(channels_busy):
+            if i == len(self._channel_busy):
                 self._channel_busy.append(0)
-                self._channel_windows[len(self._channel_busy) - 1] = None
+                self._channel_windows[i] = None
             if busy:
-                self._channel_busy[i] += busy
                 if self._channel_windows[i] is None:
                     self._channel_windows[i] = cycle
-                if busy < span:
-                    # busy prefix only: the burst drained mid-window
-                    self._flush_channel(i, cycle + busy)
+                    self._busy += 1
             elif self._channel_windows[i] is not None:
                 self._flush_channel(i, cycle)
-        self._cycles = cycle + span
+        self._cycles = cycle + 1
 
     def _flush_channel(self, i: int, end_cycle: int) -> None:
         start = self._channel_windows[i]
         if start is None:
             return
         self._channel_windows[i] = None
+        self._busy -= 1
+        self._channel_busy[i] += end_cycle - start
         if self.tracer.enabled:
             self.tracer.complete(
                 self.tracer.track(self.region, f"memory_channel[{i}]"),
@@ -362,11 +329,18 @@ class StallAttribution:
     # -- finalization ------------------------------------------------------------
 
     def close(self, total_cycles: int | None = None) -> None:
-        """Flush every open window (idempotent)."""
+        """Close every open window at ``total_cycles`` (idempotent).
+
+        ``total_cycles`` becomes the report's ``cycles``; without it,
+        windows close one cycle after the last recorded one.
+        """
         if self._closed:
             return
         self._closed = True
-        end = self._cycles if total_cycles is None else total_cycles
+        if total_cycles is not None:
+            self._cycles = total_cycles
+        end = self._cycles
+        self._advance(end)
         for name in list(self._windows):
             self._flush_window(name, end)
         for i in list(self._channel_windows):

@@ -34,6 +34,9 @@ from repro.core.memory import GlobalMemory, MemoryChannel, MemoryChannelConfig
 from repro.core.stream import Stream
 from repro.core.transfer import DummySource, TransferEngine
 from repro.harness.configs import CONFIGURATIONS
+from repro.obs import use_tracer
+from repro.obs.stall import StallAttribution, reports_from_trace
+from repro.obs.tracer import ChromeTracer, NullTracer
 
 
 def report_fields(report):
@@ -222,45 +225,74 @@ def build_starved_region():
     return region
 
 
+def abort_attribution(name, traced):
+    """An attribution tracing into its own ChromeTracer, or ``None``."""
+    if not traced:
+        return None
+    return StallAttribution(name, tracer=ChromeTracer())
+
+
+def abort_stall(attribution):
+    """The stall report and cycle spans an aborted traced region left."""
+    if attribution is None:
+        return None
+    return attribution.report().to_dict(), cycle_spans(attribution.tracer)
+
+
 def test_deadlock_identical_on_both_paths():
-    messages, stats = [], []
-    for fast in (False, True):
-        region = build_starved_region()
-        with pytest.raises(DeadlockError) as excinfo:
-            region.run(fast_path=fast)
-        messages.append(str(excinfo.value))
-        stats.append({p.name: vars(p.stats) for p in region.processes})
-    assert messages[0] == messages[1]
-    assert stats[0] == stats[1]
+    """Untraced and traced, both paths raise the same message with the
+    same stats; traced, they leave the same stall report and spans."""
+    messages, stats, stalls = [], [], []
+    for traced in (False, True):
+        for fast in (False, True):
+            region = build_starved_region()
+            attribution = abort_attribution(region.name, traced)
+            with pytest.raises(DeadlockError) as excinfo:
+                region.run(fast_path=fast, attribution=attribution)
+            messages.append(str(excinfo.value))
+            stats.append({p.name: vars(p.stats) for p in region.processes})
+            stalls.append(abort_stall(attribution))
+    assert messages[0] == messages[1] == messages[2] == messages[3]
+    assert stats[0] == stats[1] == stats[2] == stats[3]
+    assert stalls[2] == stalls[3]
 
 
 @pytest.mark.parametrize("max_cycles", [137, 4999, 5000, 5001])
 def test_max_cycles_abort_identical(max_cycles):
     """The runaway guard fires at the same cycle with the same stats,
-    even when it lands mid-window (the fast path clamps its jumps)."""
+    even when it lands mid-window (the fast path clamps its jumps).
+    Traced, both paths close the attribution at the guard cycle."""
     snap = []
-    for fast in (False, True):
-        region, _, _ = build_transfer_only_region(
-            n_work_items=4, values_per_item=2048, burst_words=1, stream_depth=2
-        )
-        with pytest.raises(RuntimeError) as excinfo:
-            region.run(max_cycles=max_cycles, fast_path=fast)
-        snap.append(
-            (
-                str(excinfo.value),
-                {p.name: vars(p.stats) for p in region.processes},
-                channel_fields(region),
-                {
-                    s.name: vars(s.stats)
-                    for p in region.processes
-                    for s in (*p.inputs(), *p.outputs())
-                },
-                region.skipped_cycles if fast else None,
+    for traced in (False, True):
+        for fast in (False, True):
+            region, _, _ = build_transfer_only_region(
+                n_work_items=4, values_per_item=2048, burst_words=1, stream_depth=2
             )
-        )
-    ref, fast = snap
-    assert ref[:4] == fast[:4]
+            attribution = abort_attribution(region.name, traced)
+            with pytest.raises(RuntimeError) as excinfo:
+                region.run(
+                    max_cycles=max_cycles, fast_path=fast, attribution=attribution
+                )
+            snap.append(
+                (
+                    str(excinfo.value),
+                    {p.name: vars(p.stats) for p in region.processes},
+                    channel_fields(region),
+                    {
+                        s.name: vars(s.stats)
+                        for p in region.processes
+                        for s in (*p.inputs(), *p.outputs())
+                    },
+                    region.skipped_cycles if fast else None,
+                    abort_stall(attribution),
+                )
+            )
+    ref, fast, traced_ref, traced_fast = snap
+    assert ref[:4] == fast[:4] == traced_ref[:4] == traced_fast[:4]
     assert fast[4] > 0  # the guard interrupted a genuinely skipping run
+    assert traced_fast[4] == fast[4]
+    assert traced_ref[5] == traced_fast[5]
+    assert traced_fast[5][0]["cycles"] == max_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -492,69 +524,90 @@ def build_starved_pipeline():
     return MultiRegionRunner(graph)
 
 
+def trace_stall(tracer):
+    """The stall reports rebuilt from a trace and its cycle spans, or
+    ``None`` untraced."""
+    if not tracer.enabled:
+        return None
+    reports = reports_from_trace(tracer.to_dict())
+    return [r.to_dict() for r in reports], cycle_spans(tracer)
+
+
 def test_cross_region_deadlock_identical_on_both_paths():
-    messages, stats = [], []
-    for fast in (False, True):
-        runner = build_starved_pipeline()
-        with pytest.raises(DeadlockError) as excinfo:
-            runner.run(fast_path=fast)
-        messages.append(str(excinfo.value))
-        stats.append(
-            {
-                p.name: vars(p.stats)
-                for r in runner.graph.regions
-                for p in r.processes
-            }
-        )
-    assert messages[0] == messages[1]
+    """Untraced and traced, both paths raise the same message with the
+    same stats; traced, they leave the same stall report and spans."""
+    messages, stats, stalls = [], [], []
+    for traced in (False, True):
+        for fast in (False, True):
+            runner = build_starved_pipeline()
+            tracer = ChromeTracer() if traced else NullTracer()
+            with use_tracer(tracer), pytest.raises(DeadlockError) as excinfo:
+                runner.run(fast_path=fast)
+            messages.append(str(excinfo.value))
+            stats.append(
+                {
+                    p.name: vars(p.stats)
+                    for r in runner.graph.regions
+                    for p in r.processes
+                }
+            )
+            stalls.append(trace_stall(tracer))
+    assert messages[0] == messages[1] == messages[2] == messages[3]
     # the finished producer region is omitted; the stuck one is named
     assert "starved_pipeline" in messages[0]
     assert "region 'consumer'" in messages[0]
-    assert stats[0] == stats[1]
+    assert stats[0] == stats[1] == stats[2] == stats[3]
+    assert stalls[2] == stalls[3]
 
 
 @pytest.mark.parametrize("max_cycles", [100, 137, 350, 437])
 def test_pipeline_max_cycles_abort_identical(max_cycles):
     """The runaway guard fires at the same cycle with the same stats
     across both paths, even mid-window, with the abort spanning regions
-    (stage two and three are still live when the guard fires)."""
+    (stage two and three are still live when the guard fires).  Traced,
+    both paths leave the same stall report and spans."""
+    from repro.core.pricing import build_pricing_pipeline
+
     config = PIPELINE_CONFIGS["default"]
     snap = []
-    for fast in (False, True):
-        result_stats = None
-        from repro.core.pricing import build_pricing_pipeline
-
-        build = build_pricing_pipeline(config)
-        runner = build.runner
-        with pytest.raises(RuntimeError) as excinfo:
-            runner.run(max_cycles=max_cycles, fast_path=fast)
-        result_stats = {
-            p.name: vars(p.stats)
-            for r in runner.graph.regions
-            for p in r.processes
-        }
-        streams = {
-            s.name: vars(s.stats)
-            for r in runner.graph.regions
-            for p in r.processes
-            for s in (*p.inputs(), *p.outputs())
-        }
-        snap.append(
-            (
-                str(excinfo.value),
-                result_stats,
-                [vars(c.stats) for c in build.channels],
-                streams,
-                runner.skipped_cycles if fast else None,
+    for traced in (False, True):
+        for fast in (False, True):
+            build = build_pricing_pipeline(config)
+            runner = build.runner
+            tracer = ChromeTracer() if traced else NullTracer()
+            with use_tracer(tracer), pytest.raises(RuntimeError) as excinfo:
+                runner.run(max_cycles=max_cycles, fast_path=fast)
+            result_stats = {
+                p.name: vars(p.stats)
+                for r in runner.graph.regions
+                for p in r.processes
+            }
+            streams = {
+                s.name: vars(s.stats)
+                for r in runner.graph.regions
+                for p in r.processes
+                for s in (*p.inputs(), *p.outputs())
+            }
+            snap.append(
+                (
+                    str(excinfo.value),
+                    result_stats,
+                    [vars(c.stats) for c in build.channels],
+                    streams,
+                    runner.skipped_cycles if fast else None,
+                    trace_stall(tracer),
+                )
             )
-        )
-    ref, fast = snap
-    assert ref[:4] == fast[:4]
+    ref, fast, traced_ref, traced_fast = snap
+    assert ref[:4] == fast[:4] == traced_ref[:4] == traced_fast[:4]
     if max_cycles > 137:
         # below ~100 cycles the RNG stage keeps every region live, so
         # there is no dead window yet; past that the guard must have
         # interrupted a genuinely skipping run
         assert fast[4] > 0
+    assert traced_fast[4] == fast[4]
+    assert traced_ref[5] == traced_fast[5]
+    assert traced_fast[5][0][0]["cycles"] == max_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -660,29 +713,45 @@ def parking_pipeline():
     return build.runner, processes, pipeline_report_fields
 
 
+def counted_run(build, fast, traced=False):
+    """Run ``build()`` once; returns its ``tick()`` calls, skipped
+    cycles and report fields (without the traced run's stall report)."""
+    runner, processes, report_fields_of = build()
+    calls = count_ticks(processes)
+    with use_tracer(ChromeTracer() if traced else NullTracer()):
+        report = runner.run(fast_path=fast)
+    assert (report.stall_report is not None) == traced
+    report.stall_report = None
+    return calls[0], runner.skipped_cycles, report_fields_of(report)
+
+
 @pytest.mark.parametrize(
-    "build, max_ratio",
+    "build, max_ratio, traced",
     [
-        pytest.param(parking_fig3, 0.25, id="fig3"),
-        pytest.param(parking_fig7, 0.1, id="fig7"),
-        pytest.param(parking_pipeline, 0.25, id="pipeline"),
+        pytest.param(parking_fig3, 0.25, False, id="fig3"),
+        pytest.param(parking_fig7, 0.1, False, id="fig7"),
+        pytest.param(parking_pipeline, 0.25, False, id="pipeline"),
+        pytest.param(parking_fig3, 0.25, True, id="fig3-traced"),
+        pytest.param(parking_fig7, 0.1, True, id="fig7-traced"),
+        pytest.param(parking_pipeline, 0.25, True, id="pipeline-traced"),
     ],
 )
-def test_fast_path_does_not_tick_stall_repeats(build, max_ratio):
+def test_fast_path_does_not_tick_stall_repeats(build, max_ratio, traced):
     """A parked process is skipped until its wait ends, so the fast path
     ticks a fraction of what the reference loop ticks, with an
-    identical report.  The counts are exact, hence deterministic."""
-    ticks, fields = [], []
-    for fast in (False, True):
-        runner, processes, report_fields_of = build()
-        calls = count_ticks(processes)
-        fields.append(report_fields_of(runner.run(fast_path=fast)))
-        ticks.append(calls[0])
-    assert fields[0] == fields[1]
-    ref_ticks, fast_ticks = ticks
-    assert fast_ticks <= max_ratio * ref_ticks, (
-        f"fast path ticked {fast_ticks} of {ref_ticks} reference ticks"
-    )
+    identical report.  A traced fast run parks too: it ticks and skips
+    exactly as the untraced one.  The counts are exact, hence
+    deterministic."""
+    fast = counted_run(build, fast=True)
+    if traced:
+        assert counted_run(build, fast=True, traced=True) == fast
+    else:
+        ref_ticks, _, ref_fields = counted_run(build, fast=False)
+        fast_ticks, _, fast_fields = fast
+        assert ref_fields == fast_fields
+        assert fast_ticks <= max_ratio * ref_ticks, (
+            f"fast path ticked {fast_ticks} of {ref_ticks} reference ticks"
+        )
 
 
 def capped_pipeline_outcome(seed, limit_max, fast):

@@ -51,6 +51,30 @@ class TestAttribution:
         assert rep.overlap_cycles == 2
         assert rep.overlap_fraction() == 0.5
 
+    def test_unchanged_states_may_be_left_out(self):
+        """Recording ``a`` only at the cycles where its state changes
+        credits each of its windows for its whole length: the report,
+        lanes and spans equal those of recording it every cycle."""
+        a = [COMPUTE] * 3 + [FIFO_FULL] * 4 + [COMPUTE] * 2 + [TRANSFER] * 3
+        b = [FIFO_EMPTY, COMPUTE] * 6
+        busy = [False] * 2 + [True] * 5 + [False] * 3 + [True] * 2
+        runs = []
+        for sparse in (False, True):
+            tracer = ChromeTracer()
+            att = StallAttribution("r", tracer=tracer, keep_lanes=True)
+            for c in range(len(a)):
+                states = {"a": a[c], "b": b[c]}
+                if sparse and c and a[c] == a[c - 1]:
+                    del states["a"]
+                att.record_cycle(c, states, [busy[c]])
+            runs.append((att.report().to_dict(), att.lanes, tracer.to_dict()))
+        assert runs[0] == runs[1]
+        report = runs[1][0]
+        assert report["per_process"]["a"] == {COMPUTE: 5, FIFO_FULL: 4, TRANSFER: 3}
+        assert report["channel_busy_cycles"] == [7]
+        assert report["compute_cycles"] == 9
+        assert report["overlap_cycles"] == 4
+
     def test_live_cycles_partition(self):
         """Every live cycle of every process lands in exactly one class."""
         _, report = _run_traced()
