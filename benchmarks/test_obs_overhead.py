@@ -5,9 +5,11 @@ The acceptance bar for the tracing layer: with the default
 runtime over a re-implementation of the bare pre-instrumentation loop.
 The tracer is resolved once per run (one ``get_tracer()``/``enabled``
 check); past that, an untraced run pays one flag check per ticked
-process and one per loop cycle.  A traced run takes the same parked
-loop and classifies each tick, so its cost is bounded against the
-untraced run's.
+process and one per loop cycle.  A loop cycle of the fast path ticks
+only the awake processes of its wake calendar and never a memory
+channel, where the bare loop ticks every process and channel.  A traced
+run takes the same calendar and classifies each tick, so its cost is
+bounded against the untraced run's.
 """
 
 import time

@@ -12,30 +12,36 @@ producer-consumer pair."  This module models that region:
   in cycle *t* can be consumed in cycle *t* by a downstream process —
   matching the concurrent start semantics of the pragma ("all
   work-items are triggered at t0", Fig 3),
-* a shared :class:`~repro.core.memory.MemoryChannel` (if attached) is
-  ticked once per cycle after the processes,
+* a shared :class:`~repro.core.memory.MemoryChannel` (if attached)
+  advances once per cycle after the processes,
 * deadlock (no process progresses, none done) raises with a full state
   dump instead of hanging.
 
 The lock-step loop itself is :func:`run_cycles`, shared with
 :class:`~repro.core.pipes.MultiRegionRunner`: a region is the
-one-region case of a pipeline.  Its **fast path parks** each process
-after a tick in which it stalled, when the process's
-:meth:`~repro.core.process.Process.next_event` hint, read between
-cycles, is not ``None``.  A parked process is skipped until the cycle
-its hint names or, for ``NO_SELF_EVENT``, until the next ``write``,
-``read`` or ``close`` on one of its streams; on waking, its
-``skip_cycles`` credits the slept cycles.  When every live process is
-parked the loop jumps the channels straight to the earliest event.
-Traced runs (tracer or explicit attribution) park and jump alike: a
-parked process's stall class holds for its whole sleep, so it is
-recorded as one interval.  Reports and traces are identical to the
-reference loop's (``docs/simulator_fastpath.md``).
+one-region case of a pipeline.  Its **fast path** is a wake calendar.
+It parks each process after a tick in which it stalled, when the
+process's :meth:`~repro.core.process.Process.next_event` hint, read
+between cycles, is not ``None``.  A parked process leaves the awake
+list until the cycle its hint names (a timer heap) or, for
+``NO_SELF_EVENT``, until the next ``write``, ``read`` or ``close`` on
+one of its streams; a loop cycle visits only awake processes, and on
+waking ``skip_cycles`` credits the slept cycles.  The channels are not
+ticked either: each keeps its own clock and is advanced with
+``skip_cycles`` only past its grants and completions.  When every live
+process is parked the loop jumps straight to the earliest timer or
+channel event.  Traced runs (tracer or explicit attribution) take the
+same calendar: a parked process's stall class holds for its whole
+sleep, so it is recorded as one interval.  Reports and traces are
+identical to the reference loop's (``docs/simulator_fastpath.md``).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import attrgetter
 
 import networkx as nx
 
@@ -271,16 +277,19 @@ def run_cycles(
     The one cycle loop behind :meth:`DataflowRegion.run` and
     :meth:`~repro.core.pipes.MultiRegionRunner.run`.  Each cycle every
     live process ticks in topological order, then every (deduped)
-    channel ticks.  A cycle with no progress anywhere raises
-    :class:`DeadlockError` naming the stuck processes of ``regions``;
-    ``max_cycles`` elapsing raises ``RuntimeError``.  ``label`` names
-    the run in both messages.  Cycles jumped over by the fast path are
-    counted into ``owner.skipped_cycles`` (reset here), so the count
-    survives an abort.
+    channel advances one cycle.  A cycle with no progress anywhere
+    raises :class:`DeadlockError` naming the stuck processes of
+    ``regions``; ``max_cycles`` elapsing raises ``RuntimeError``.
+    ``label`` names the run in both messages.  Cycles jumped over by
+    the fast path are counted into ``owner.skipped_cycles`` (reset
+    here), so the count survives an abort.
 
-    ``fast`` runs :func:`_run_parked`, which skips each stalled process
-    until its wait ends.  ``fast=False`` ticks every live process every
-    cycle: the reference the differential suite compares against.
+    ``fast`` runs :func:`_run_parked`, a wake calendar that ticks only
+    awake processes and advances each channel only past its grants and
+    completions.  ``fast=False`` ticks every live process and every
+    channel every cycle: the reference the differential suite compares
+    against.  Both leave every process and channel accounted through
+    the final cycle on every exit.
 
     With an ``attribution`` both loops also classify each tick into the
     :mod:`repro.obs.stall` taxonomy (:func:`_classify`), with the same
@@ -331,31 +340,71 @@ def run_cycles(
     return cycle, done_at
 
 
+#: sort key of the awake list: topological position
+_INDEX = attrgetter("index")
+
+
+class _Calendar:
+    """Who ticks on the fast path, and when parked processes wake.
+
+    ``awake`` holds the processes to tick this cycle in topological
+    order; ``later`` those a stream woke for the next cycle; ``timers``
+    is a heap of ``(wake cycle, topological index, sleeper)`` over the
+    timer parks, plus an ``inf`` sentinel that sorts after every real
+    entry, so ``timers[0]`` always exists.
+    """
+
+    __slots__ = ("awake", "later", "timers")
+
+    def __init__(self):
+        self.awake: list = []
+        self.later: list = []
+        self.timers: list = [(NO_SELF_EVENT, -1, None)]
+
+
 class _Sleeper:
     """Loop-side state of one live process on the fast path.
 
-    Awake: ``since`` is ``None`` and ``until`` is 0.  Parked after a
-    stalled tick: ``since`` is the first cycle not ticked and ``until``
-    the first cycle to tick again — the cycle the process's
-    ``next_event`` hint named, or :data:`NO_SELF_EVENT` until a wake
-    slot on one of its streams runs :meth:`wake`.  On a traced run
-    ``state`` is the stall class of the last tick without channel
-    ownership: a parked process repeats it.
+    ``index`` is the process's topological position.  Awake: ``since``
+    is ``None`` and ``until`` is 0, and the process is on its
+    calendar's awake list.  Parked after a stalled tick: ``since`` is
+    the first cycle not ticked and ``until`` the first cycle to tick
+    again — the cycle the process's ``next_event`` hint named, waited
+    for on the calendar's timer heap, or :data:`NO_SELF_EVENT` until a
+    wake slot on one of its streams returns it to the awake list.  A
+    ``write`` or ``close`` upstream runs :meth:`wake_now`, a ``read``
+    downstream :meth:`wake_next`; a timer park ignores both.  Either
+    way ``since`` stays set until the loop credits the sleep just
+    before the next tick.  On a traced run ``state`` is the stall class
+    of the last tick without channel ownership: a parked process
+    repeats it.
     """
 
-    __slots__ = ("proc", "since", "until", "state")
+    __slots__ = ("proc", "index", "calendar", "since", "until", "state")
 
-    def __init__(self, proc: Process):
+    def __init__(self, proc: Process, index: int, calendar: _Calendar):
         self.proc = proc
+        self.index = index
+        self.calendar = calendar
         self.since: int | None = None
         self.until: float = 0
         self.state: str | None = None
 
-    def wake(self) -> None:
-        # a finite hint holds while other processes act; only an
-        # open-ended park waits for its streams
+    def wake_now(self) -> None:
+        """Consumer slot: the upstream producer, ticking now, wrote or
+        closed, so this process ticks later in the same cycle."""
         if self.until == NO_SELF_EVENT:
             self.until = 0
+            # past the producer's position, so the running ``for`` over
+            # the awake list still reaches it
+            insort(self.calendar.awake, self, key=_INDEX)
+
+    def wake_next(self) -> None:
+        """Producer slot: the downstream consumer read after this
+        process's turn, so it ticks the next cycle."""
+        if self.until == NO_SELF_EVENT:
+            self.until = 0
+            self.calendar.later.append(self)
 
     def park(self, cycle: int, until: float) -> None:
         self.since = cycle
@@ -363,9 +412,11 @@ class _Sleeper:
         if until == NO_SELF_EVENT:
             proc = self.proc
             for stream in proc.inputs():
-                stream._consumer_wake = self.wake
+                stream._consumer_wake = self.wake_now
             for stream in proc.outputs():
-                stream._producer_wake = self.wake
+                stream._producer_wake = self.wake_next
+        else:
+            heappush(self.calendar.timers, (until, self.index, self))
 
     def resume(self, cycle: int) -> None:
         """Credit the slept cycles ``[since, cycle)`` and wake up."""
@@ -384,19 +435,33 @@ def _run_parked(
     max_cycles: int,
     attribution: StallAttribution | None,
 ) -> tuple[int, dict[str, int]]:
-    """:func:`run_cycles` on the fast path: park stalled processes.
+    """:func:`run_cycles` on the fast path: a wake calendar.
 
     A process whose tick stalled and whose ``next_event`` hint, read
-    between cycles, is not ``None`` is parked: skipped until the cycle
-    the hint names or, for :data:`NO_SELF_EVENT`, until the next
-    ``write``, ``read`` or ``close`` on one of its streams.  A wake by
-    an upstream producer lands later in the same cycle's topological
-    order, so the consumer ticks that cycle; a wake by a downstream
-    consumer comes after the producer's turn, so it ticks the next
-    cycle — exactly when the reference loop's ticks would first differ
-    from a stall repeat.  ``skip_cycles`` credits the slept cycles on
-    waking, or on an abort.  When every live process is parked the
-    loop jumps the channels to the earliest wake or channel event.
+    between cycles, is not ``None`` is parked: it leaves the awake list
+    until the cycle the hint names (a timer on the calendar's heap) or,
+    for :data:`NO_SELF_EVENT`, until the next ``write``, ``read`` or
+    ``close`` on one of its streams.  A loop cycle ticks only the awake
+    list.  A wake by an upstream producer inserts the consumer ahead of
+    the current position, so it ticks that cycle; a wake by a
+    downstream consumer comes after the producer's turn, so it ticks
+    the next cycle — exactly when the reference loop's ticks would
+    first differ from a stall repeat.  ``skip_cycles`` credits the
+    slept cycles on waking, or on an abort.  When every live process
+    is parked the loop jumps to the earlier of the heap top and each
+    channel's ``next_event``.
+
+    Channels are never ticked.  A channel lags the loop and is
+    advanced with ``skip_cycles``, from its ``clock``, only once its
+    next grant or completion (``due``) lies behind the loop's cycle.
+    That is checked at the end of each cycle, so what the next one
+    observes (``request.done``, the queue depth ``submit`` records,
+    the hints read in between) is what a ticked channel would show.
+    A jump advances every channel to its end, a traced cycle advances a
+    channel with a grant or completion due through that cycle before
+    reading the owner set, and every exit catches the channels up.
+    Whether a channel is busy is read only on a cycle without process
+    progress, the deadlock test.
 
     With an ``attribution`` each cycle records only what may have
     changed (:func:`_record_parked`), so a sleep is one interval.
@@ -404,8 +469,14 @@ def _run_parked(
     traced = attribution is not None
     cycle = 0
     done_at = {p.name: 0 for p in ordered if p.done()}
-    sleepers = [_Sleeper(p) for p in ordered if not p.done()]
-    parked = 0
+    calendar = _Calendar()
+    sleepers = [
+        _Sleeper(p, i, calendar) for i, p in enumerate(ordered) if not p.done()
+    ]
+    awake = calendar.awake  # mutated in place: wake_now inserts into it
+    awake += sleepers
+    later, timers = calendar.later, calendar.timers
+    stalled: list[_Sleeper] = []  # ticked without progress this cycle
     ticked: list[tuple[_Sleeper, tuple]] = []  # traced: pre-tick samples
     owners: set[str] = set()  # traced: owners of the draining bursts
     if traced and sleepers and max_cycles > 0:
@@ -413,16 +484,16 @@ def _run_parked(
     try:
         while sleepers:
             if cycle >= max_cycles:
-                _credit_sleepers(sleepers, cycle)
+                _abort(sleepers, channels, cycle)
                 raise RuntimeError(f"{label} exceeded {max_cycles} cycles")
+            if timers[0][0] <= cycle:
+                while timers[0][0] <= cycle:
+                    awake.append(heappop(timers)[2])
+                awake.sort(key=_INDEX)
             progressed = finished = False
-            stalled = []
-            for s in sleepers:
-                if s.until > cycle:
-                    continue  # parked: its tick would repeat the stall
+            for s in awake:  # reaches consumers that wake_now inserts
                 if s.since is not None:
                     s.resume(cycle)
-                    parked -= 1
                 proc = s.proc
                 if traced:
                     ticked.append((s, _sample(proc)))
@@ -435,45 +506,59 @@ def _run_parked(
                 else:
                     stalled.append(s)
             if traced:
-                busy = [channel.tick(cycle) for channel in channels]
-                if any(busy):
+                busy = [channel.busy for channel in channels]
+                if True in busy:
                     progressed = True
+                for channel in channels:  # the owner set after this cycle
+                    if channel.due <= cycle:
+                        channel.skip_cycles(channel.clock, cycle + 1 - channel.clock)
                 owners = _record_parked(
                     attribution, cycle, sleepers, ticked, channels, busy, owners
                 )
-            else:
-                for channel in channels:
-                    if channel.tick(cycle):
-                        progressed = True
             cycle += 1  # a stalled cycle still counts
-            if not progressed:
-                _credit_sleepers(sleepers, cycle)
+            if not progressed and not any(ch.busy for ch in channels):
+                _abort(sleepers, channels, cycle)
                 raise DeadlockError(
                     _deadlock_message(label, regions, channels, cycle - 1)
                 )
+            # no grant or completion may lie behind ``cycle`` when
+            # processes poll request.done or hints are read
+            for channel in channels:
+                if channel.due < cycle:
+                    channel.skip_cycles(channel.clock, cycle - channel.clock)
             if finished:  # done() is monotone and only a tick flips it
-                alive = []
-                for s in sleepers:
-                    if s.since is None and s.proc.done():
+                kept = []
+                for s in awake:
+                    if s.proc.done():
                         done_at[s.proc.name] = cycle
                     else:
-                        alive.append(s)
-                sleepers = alive
+                        kept.append(s)
+                awake[:] = kept
+                sleepers = [
+                    s for s in sleepers if s.since is not None or not s.proc.done()
+                ]
                 if traced and sleepers and cycle < max_cycles:
                     attribution.record_cycle(
                         cycle,
                         {n: _stall.DONE for n, c in done_at.items() if c == cycle},
                         (),
                     )
-            # hints are read only between cycles: MemoryChannel caches
-            # the completion it predicts
-            for s in stalled:
-                event = s.proc.next_event(cycle)
-                if event is not None:
-                    s.park(cycle, event)
-                    parked += 1
-            if sleepers and parked == len(sleepers):
-                horizon = min(s.until for s in sleepers)
+            if stalled:
+                parked = False
+                for s in stalled:
+                    event = s.proc.next_event(cycle)
+                    if event is not None:
+                        s.park(cycle, event)
+                        parked = True
+                stalled.clear()
+                if parked:
+                    awake[:] = [s for s in awake if s.since is None]
+            if later:
+                awake += later
+                later.clear()
+                awake.sort(key=_INDEX)
+            if not awake and sleepers:  # every live process is parked
+                horizon = timers[0][0]
                 for channel in channels:
                     event = channel.next_event(cycle)
                     if event < horizon:
@@ -482,28 +567,39 @@ def _run_parked(
                 if horizon != NO_SELF_EVENT:
                     span = min(int(horizon), max_cycles) - cycle
                     if span > 0:
+                        end = cycle + span
                         for channel in channels:
-                            channel.skip_cycles(cycle, span)
+                            channel.skip_cycles(channel.clock, end - channel.clock)
                         if traced:
                             # a burst completes in a jump only on its last
                             # cycle: the horizon is the completion plus one
                             owners = _record_parked(
-                                attribution, cycle + span - 1, sleepers,
-                                ticked, channels, (), owners,
+                                attribution, end - 1, sleepers, ticked,
+                                channels, (), owners,
                             )
                         owner.skipped_cycles += span
-                        cycle += span
+                        cycle = end
+        _catch_up(channels, cycle)
     finally:
         if traced:
             attribution.close(cycle)
     return cycle, done_at
 
 
-def _credit_sleepers(sleepers: list[_Sleeper], end: int) -> None:
-    """Credit every parked process up to ``end`` before an abort."""
+def _catch_up(channels, cycle: int) -> None:
+    """Advance every lagging channel to ``cycle``."""
+    for channel in channels:
+        if channel.clock < cycle:
+            channel.skip_cycles(channel.clock, cycle - channel.clock)
+
+
+def _abort(sleepers: list[_Sleeper], channels, end: int) -> None:
+    """Credit every parked process and catch the channels up to ``end``
+    before an abort, as the reference loop ticked them through it."""
     for s in sleepers:
         if s.since is not None:
             s.resume(end)
+    _catch_up(channels, end)
 
 
 def _sample(proc: Process) -> tuple:

@@ -82,7 +82,6 @@ class BurstRequest:
     submitted_cycle: int = 0
     started_cycle: int | None = None
     completed_cycle: int | None = None
-    _remaining: int = field(default=0, repr=False)
     # absolute completion cycle predicted by MemoryChannel.predict_done
     # (exact under FIFO arbitration — later submissions queue behind)
     _predicted_done: int | None = field(default=None, repr=False)
@@ -119,8 +118,17 @@ class MemoryChannel:
     """Single-port burst-write channel with FIFO arbitration.
 
     Transfer engines :meth:`submit` bursts and poll ``request.done``.
-    The owning :class:`~repro.core.dataflow.DataflowRegion` ticks the
-    channel once per cycle, after the processes.
+    The reference cycle loop ticks the channel once per cycle, after
+    the processes.  The fast loop never ticks it: the channel keeps
+    its own ``clock`` (the first cycle not yet accounted) and ``due``
+    (the cycle of its next grant or completion, ``inf`` while idle),
+    and the loop advances it with :meth:`skip_cycles` only once a
+    grant or completion lies behind the loop's cycle.  Until then the
+    lagging channel is indistinguishable from a ticked one: no request
+    flips ``done``, the FIFO order and the queue depth that
+    :meth:`submit` records are the same, a draining burst's completion
+    is the absolute cycle ``due`` whatever the clock, and an idle gap
+    is accounted when the next burst is submitted.
     """
 
     def __init__(
@@ -133,9 +141,26 @@ class MemoryChannel:
         self._queue: deque[BurstRequest] = deque()
         self._current: BurstRequest | None = None
         self.stats = ChannelStats()
+        #: first cycle not yet accounted: the channel reflects the
+        #: ticks of ``[0, clock)``
+        self.clock = 0
+        #: cycle of the next grant or completion (``inf`` while idle);
+        #: while a burst drains, the cycle in whose tick it completes
+        self.due: int | float = float("inf")
 
     def submit(self, request: BurstRequest) -> BurstRequest:
-        """Enqueue a burst; it is granted in FIFO order."""
+        """Enqueue a burst; it is granted in FIFO order.
+
+        An idle channel first accounts its idle cycles up to
+        ``request.submitted_cycle``, so a channel that lags the loop
+        grants the burst at the cycle it was submitted, not earlier.
+        """
+        if self._current is None and not self._queue:
+            gap = request.submitted_cycle - self.clock
+            if gap > 0:
+                self.stats.idle_cycles += gap
+                self.clock = request.submitted_cycle
+            self.due = self.clock  # granted in the next tick
         self._queue.append(request)
         self.stats.max_queue_depth = max(
             self.stats.max_queue_depth, len(self._queue) + (1 if self._current else 0)
@@ -148,26 +173,33 @@ class MemoryChannel:
 
     def tick(self, cycle: int) -> bool:
         """Advance one cycle; returns True when the channel was busy."""
+        self.clock = cycle + 1
         if self._current is None:
             if not self._queue:
                 self.stats.idle_cycles += 1
                 return False
-            self._current = self._queue.popleft()
-            self._current.started_cycle = cycle
-            self._current._remaining = self.config.burst_cycles(
-                len(self._current.words)
-            )
-        self._current._remaining -= 1
+            self._grant(cycle)
         self.stats.busy_cycles += 1
-        if self._current._remaining <= 0:
-            req = self._current
-            req.completed_cycle = cycle
-            if self.memory is not None:
-                self.memory.write_burst(req.address, req.words)
-            self.stats.bursts += 1
-            self.stats.words += len(req.words)
-            self._current = None
+        if cycle == self.due:
+            self._complete(cycle)
         return True
+
+    def _grant(self, cycle: int) -> None:
+        """Start draining the head of the queue at ``cycle``."""
+        current = self._current = self._queue.popleft()
+        current.started_cycle = cycle
+        self.due = cycle + self.config.burst_cycles(len(current.words)) - 1
+
+    def _complete(self, cycle: int) -> None:
+        """Finish the draining burst in ``cycle``'s tick."""
+        req = self._current
+        req.completed_cycle = cycle
+        if self.memory is not None:
+            self.memory.write_burst(req.address, req.words)
+        self.stats.bursts += 1
+        self.stats.words += len(req.words)
+        self._current = None
+        self.due = cycle + 1 if self._queue else float("inf")
 
     # -- cycle-skipping fast path --------------------------------------------------
 
@@ -181,11 +213,11 @@ class MemoryChannel:
         self-generates an event (``inf``).  Exact because arbitration is
         FIFO: the loop asks only between cycles, before jumping a window
         in which every process is parked, so no submission lands inside
-        it, and later ones queue behind.
+        it, and later ones queue behind.  ``cycle`` is the next cycle to
+        tick; no grant or completion may lie before it.
         """
         if self._current is not None:
-            # draining burst: completes at cycle + _remaining - 1
-            return cycle + self._current._remaining
+            return self.due + 1
         if self._queue:
             # grant next tick, drain, observe one cycle after completion
             return cycle + self.config.burst_cycles(len(self._queue[0].words))
@@ -197,15 +229,17 @@ class MemoryChannel:
         Walks the FIFO queue once and caches the (immutable) prediction
         on every request it passes, so repeated polls are O(1).  Returns
         None for a request this channel does not hold.  ``cycle`` is
-        the next cycle to tick: ask only between cycles, after this
-        channel ticked, since a cached answer is never recomputed.
+        the next cycle to tick: ask only between cycles, with no grant
+        or completion before ``cycle``, since a cached answer is never
+        recomputed.  A queued burst behind an idle channel is granted
+        at ``cycle``, not at the channel's own ``clock``, so a channel
+        driven by hand answers for the cycle its caller names.
         """
         if request._predicted_done is not None:
             return request._predicted_done
         prev_end = cycle - 1
         if self._current is not None:
-            prev_end += self._current._remaining
-            self._current._predicted_done = prev_end
+            prev_end = self._current._predicted_done = self.due
         for queued in self._queue:
             prev_end += self.config.burst_cycles(len(queued.words))
             queued._predicted_done = prev_end
@@ -217,7 +251,11 @@ class MemoryChannel:
         Equivalent to ``count`` calls of :meth:`tick` starting at
         ``cycle``, in O(completed bursts) instead of O(cycles): grants,
         beat accounting, burst completions and memory writes land
-        exactly as the reference loop would place them.
+        exactly as the reference loop would place them.  The fast loop
+        routes every advance through here, from the channel's
+        ``clock``: to catch up once a grant or completion lies behind
+        the loop's cycle, and through a window in which every process
+        is parked.
         """
         at = cycle
         end = cycle + count
@@ -225,24 +263,14 @@ class MemoryChannel:
             if self._current is None:
                 if not self._queue:
                     self.stats.idle_cycles += end - at
-                    return
-                self._current = self._queue.popleft()
-                self._current.started_cycle = at
-                self._current._remaining = self.config.burst_cycles(
-                    len(self._current.words)
-                )
-            step = min(self._current._remaining, end - at)
-            self._current._remaining -= step
-            self.stats.busy_cycles += step
-            at += step
-            if self._current._remaining <= 0:
-                req = self._current
-                req.completed_cycle = at - 1
-                if self.memory is not None:
-                    self.memory.write_burst(req.address, req.words)
-                self.stats.bursts += 1
-                self.stats.words += len(req.words)
-                self._current = None
+                    break
+                self._grant(at)
+            stop = min(self.due + 1, end)
+            self.stats.busy_cycles += stop - at
+            at = stop
+            if at > self.due:
+                self._complete(self.due)
+        self.clock = end
 
     def __repr__(self) -> str:
         return (

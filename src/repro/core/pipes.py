@@ -244,7 +244,7 @@ class PipelineGraph:
         ]
         # channels in region topo order, deduped by identity: a channel
         # two regions share (same port, cross-region arbitration) must
-        # tick exactly once per cycle
+        # advance exactly once per cycle
         channels: list = []
         seen_channels: set[int] = set()
         for region in ordered_regions:
@@ -277,7 +277,7 @@ class MultiRegionRunner:
     process across every region ticks once per cycle in
     region-topological then intra-region-topological order (so a token
     written into a pipe at cycle *t* is visible to the consumer region
-    at cycle *t*), all channels tick after the processes, deadlock is
+    at cycle *t*), all channels advance after the processes, deadlock is
     detected across the whole graph, and the fast path parks stalled
     processes in *all* regions alike.
     """

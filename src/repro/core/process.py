@@ -121,8 +121,8 @@ class Process(abc.ABC):
           the process cannot predict itself.  The process is not
           parked.
 
-        The loop asks only between cycles, after the channels ticked,
-        with ``cycle`` the next cycle to run:
+        The loop asks only between cycles, with every channel grant
+        and completion before ``cycle``, the next cycle to run, applied:
         :meth:`~repro.core.memory.MemoryChannel.predict_done` caches
         its answer, so a hint read mid-cycle would cache a completion
         one cycle early.

@@ -250,10 +250,18 @@ def test_deadlock_identical_on_both_paths():
             with pytest.raises(DeadlockError) as excinfo:
                 region.run(fast_path=fast, attribution=attribution)
             messages.append(str(excinfo.value))
-            stats.append({p.name: vars(p.stats) for p in region.processes})
+            stats.append(
+                (
+                    {p.name: vars(p.stats) for p in region.processes},
+                    channel_fields(region),
+                )
+            )
             stalls.append(abort_stall(attribution))
     assert messages[0] == messages[1] == messages[2] == messages[3]
+    # the starved channel idles the whole run: the fast path must have
+    # accounted its idle cycles through the deadlock cycle
     assert stats[0] == stats[1] == stats[2] == stats[3]
+    assert stats[0][1][0]["idle_cycles"] > 0
     assert stalls[2] == stalls[3]
 
 
@@ -535,7 +543,8 @@ def trace_stall(tracer):
 
 def test_cross_region_deadlock_identical_on_both_paths():
     """Untraced and traced, both paths raise the same message with the
-    same stats; traced, they leave the same stall report and spans."""
+    same process and channel stats; traced, they leave the same stall
+    report and spans."""
     messages, stats, stalls = [], [], []
     for traced in (False, True):
         for fast in (False, True):
@@ -545,11 +554,14 @@ def test_cross_region_deadlock_identical_on_both_paths():
                 runner.run(fast_path=fast)
             messages.append(str(excinfo.value))
             stats.append(
-                {
-                    p.name: vars(p.stats)
-                    for r in runner.graph.regions
-                    for p in r.processes
-                }
+                (
+                    {
+                        p.name: vars(p.stats)
+                        for r in runner.graph.regions
+                        for p in r.processes
+                    },
+                    [vars(c.stats) for c in runner.graph.memory_channels],
+                )
             )
             stalls.append(trace_stall(tracer))
     assert messages[0] == messages[1] == messages[2] == messages[3]
@@ -557,6 +569,7 @@ def test_cross_region_deadlock_identical_on_both_paths():
     assert "starved_pipeline" in messages[0]
     assert "region 'consumer'" in messages[0]
     assert stats[0] == stats[1] == stats[2] == stats[3]
+    assert stats[0][1][0]["idle_cycles"] > 0
     assert stalls[2] == stalls[3]
 
 
@@ -666,16 +679,17 @@ def test_pipeline_instrumented_identical(name):
 # ---------------------------------------------------------------------------
 
 
-def count_ticks(processes):
-    """Wrap every process's ``tick``; returns the shared call counter."""
+def count_ticks(objects):
+    """Wrap ``tick`` on every process or channel of ``objects``;
+    returns the shared call counter."""
     calls = [0]
-    for proc in processes:
+    for obj in objects:
 
-        def counted(cycle, tick=proc.tick):
+        def counted(cycle, tick=obj.tick):
             calls[0] += 1
             return tick(cycle)
 
-        proc.tick = counted
+        obj.tick = counted
     return calls
 
 
@@ -713,45 +727,106 @@ def parking_pipeline():
     return build.runner, processes, pipeline_report_fields
 
 
+def channels_of(runner):
+    """The memory channels a region or pipeline runner advances."""
+    return getattr(runner, "graph", runner).memory_channels
+
+
 def counted_run(build, fast, traced=False):
-    """Run ``build()`` once; returns its ``tick()`` calls, skipped
-    cycles and report fields (without the traced run's stall report)."""
+    """Run ``build()`` once; returns its process ``tick()`` calls,
+    channel ``tick()`` calls, skipped cycles and report fields (without
+    the traced run's stall report)."""
     runner, processes, report_fields_of = build()
     calls = count_ticks(processes)
+    channel_calls = count_ticks(channels_of(runner))
     with use_tracer(ChromeTracer() if traced else NullTracer()):
         report = runner.run(fast_path=fast)
     assert (report.stall_report is not None) == traced
     report.stall_report = None
-    return calls[0], runner.skipped_cycles, report_fields_of(report)
+    return (
+        calls[0],
+        channel_calls[0],
+        runner.skipped_cycles,
+        report_fields_of(report),
+    )
+
+
+#: per parking build: the bound on fast/reference ``tick()`` calls, and
+#: the exact fast-path ``tick()`` calls and skipped cycles
+PARKING_BUILDS = {
+    "fig3": (parking_fig3, 0.25, 7_472, 645),
+    "fig7": (parking_fig7, 0.1, 13_434, 24_303),
+    "pipeline": (parking_pipeline, 0.25, 10_030, 2_669),
+}
 
 
 @pytest.mark.parametrize(
-    "build, max_ratio, traced",
+    "name, traced",
     [
-        pytest.param(parking_fig3, 0.25, False, id="fig3"),
-        pytest.param(parking_fig7, 0.1, False, id="fig7"),
-        pytest.param(parking_pipeline, 0.25, False, id="pipeline"),
-        pytest.param(parking_fig3, 0.25, True, id="fig3-traced"),
-        pytest.param(parking_fig7, 0.1, True, id="fig7-traced"),
-        pytest.param(parking_pipeline, 0.25, True, id="pipeline-traced"),
+        pytest.param(name, traced, id=f"{name}-traced" if traced else name)
+        for traced in (False, True)
+        for name in PARKING_BUILDS
     ],
 )
-def test_fast_path_does_not_tick_stall_repeats(build, max_ratio, traced):
+def test_fast_path_does_not_tick_stall_repeats(name, traced):
     """A parked process is skipped until its wait ends, so the fast path
     ticks a fraction of what the reference loop ticks, with an
-    identical report.  A traced fast run parks too: it ticks and skips
+    identical report.  It never ticks a channel: each is advanced only
+    where its state is observed.  A traced fast run ticks and skips
     exactly as the untraced one.  The counts are exact, hence
-    deterministic."""
+    deterministic, so they are pinned: the wake calendar must wake each
+    process exactly when its wait ends, neither earlier nor later."""
+    build, max_ratio, ticks, skipped = PARKING_BUILDS[name]
     fast = counted_run(build, fast=True)
+    assert fast[:3] == (ticks, 0, skipped)
     if traced:
         assert counted_run(build, fast=True, traced=True) == fast
     else:
-        ref_ticks, _, ref_fields = counted_run(build, fast=False)
-        fast_ticks, _, fast_fields = fast
+        ref_ticks, ref_channel_ticks, _, ref_fields = counted_run(build, fast=False)
+        fast_ticks, _, _, fast_fields = fast
         assert ref_fields == fast_fields
+        assert ref_channel_ticks > 0
         assert fast_ticks <= max_ratio * ref_ticks, (
             f"fast path ticked {fast_ticks} of {ref_ticks} reference ticks"
         )
+
+
+def burst_log(build, fast):
+    """Every burst ``build()``'s run submits, as ``(owner, address,
+    submitted_cycle, started_cycle, completed_cycle)`` in submission
+    order."""
+    runner, _processes, _fields = build()
+    submitted = []
+    for channel in channels_of(runner):
+
+        def logged(request, submit=channel.submit):
+            submitted.append(request)
+            return submit(request)
+
+        channel.submit = logged
+    runner.run(fast_path=fast)
+    return [
+        (r.owner, r.address, r.submitted_cycle, r.started_cycle, r.completed_cycle)
+        for r in submitted
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, bursts",
+    [
+        pytest.param(parking_fig3, 48, id="fig3"),
+        pytest.param(parking_fig7, 384, id="fig7"),
+        pytest.param(parking_pipeline, 64, id="pipeline"),
+    ],
+)
+def test_per_burst_channel_timing_identical(build, bursts):
+    """Each burst is submitted, granted and completed at the same cycle
+    on both loops, though the fast loop advances a channel only where
+    its state is observed."""
+    ref = burst_log(build, fast=False)
+    assert len(ref) == bursts
+    assert all(completed is not None for *_, completed in ref)
+    assert burst_log(build, fast=True) == ref
 
 
 def capped_pipeline_outcome(seed, limit_max, fast):
