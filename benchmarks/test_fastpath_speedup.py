@@ -1,16 +1,17 @@
 """Cycle-skipping fast path: wall-clock speedup on the Fig 7 sweep.
 
 The transfers-only experiment (Fig 7) is the workload the fast path was
-built for: once every engine has a burst in flight, each engine sits
-parked until its burst drains and each source until its engine reads,
-and when all of them are parked the whole region jumps while the
-single channel drains.  The sweep here covers the channel-bound end of
+built for: each dummy source, its stream and its Transfer engine form a
+fused chain that steps from one burst submission to the next in closed
+form, and the loop jumps from one submission or burst completion to
+the next while the single channel drains.  The sweep here covers the channel-bound end of
 the Fig 7 grid (single-word bursts, shallow streams, several work-item
 counts), where the per-burst setup overhead makes the waits longest.
 
-Acceptance: the fast path must run the sweep at least 5x faster than
-the reference one-cycle-at-a-time loop while producing field-for-field
-identical reports (equivalence itself is pinned by
+Acceptance: the fast path must run the sweep at least
+:data:`SPEEDUP_FLOOR` times faster than the reference
+one-cycle-at-a-time loop while producing field-for-field identical
+reports (equivalence itself is pinned by
 ``tests/core/test_fastpath_equivalence.py``; this file re-asserts the
 cheap invariants so a speed win can never come from skipping work).
 
@@ -33,7 +34,9 @@ SWEEP = tuple(
     for n_wi in (4, 6, 8)
 )
 
-SPEEDUP_FLOOR = 5.0
+#: ten runs of the sweep on a 2-vCPU x86-64 host read 21.1x to 29.7x
+#: (median 26.8x); the floor keeps a 30 % margin under the slowest
+SPEEDUP_FLOOR = 15.0
 
 
 def _run_once(fast_path, **kwargs):
@@ -49,7 +52,7 @@ def _best_of(fast_path, n=3, **kwargs):
     return min(runs, key=lambda r: r[0])
 
 
-def test_fig7_sweep_speedup_at_least_5x():
+def test_fig7_sweep_speedup_at_least_floor():
     total_ref = total_fast = 0.0
     lines = []
     for kwargs in SWEEP:

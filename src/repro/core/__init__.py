@@ -35,7 +35,7 @@ from repro.core.memory import (
     MemoryChannelConfig,
     transfer_only_cycles,
 )
-from repro.core.transfer import DummySource, TransferEngine, WordPacker
+from repro.core.transfer import DummySource, TransferEngine
 from repro.core.mt_adapted import AdaptedMT, NaiveGatedMT
 from repro.core.kernel import GammaKernelConfig, GammaRNGProcess, TRANSFORMS
 from repro.core.decoupled import (
@@ -93,7 +93,6 @@ __all__ = [
     "transfer_only_cycles",
     "DummySource",
     "TransferEngine",
-    "WordPacker",
     "AdaptedMT",
     "NaiveGatedMT",
     "GammaKernelConfig",

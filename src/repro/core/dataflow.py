@@ -26,14 +26,19 @@ between cycles, is not ``None``.  A parked process leaves the awake
 list until the cycle its hint names (a timer heap) or, for
 ``NO_SELF_EVENT``, until the next ``write``, ``read`` or ``close`` on
 one of its streams; a loop cycle visits only awake processes, and on
-waking ``skip_cycles`` credits the slept cycles.  The channels are not
-ticked either: each keeps its own clock and is advanced with
-``skip_cycles`` only past its grants and completions.  When every live
-process is parked the loop jumps straight to the earliest timer or
-channel event.  Traced runs (tracer or explicit attribution) take the
-same calendar: a parked process's stall class holds for its whole
-sleep, so it is recorded as one interval.  Reports and traces are
-identical to the reference loop's (``docs/simulator_fastpath.md``).
+waking ``skip_cycles`` credits the slept cycles.  Each work-item chain
+(a source, its stream and its Transfer engine) is fused into one
+calendar entry that steps from one burst submission to the next in
+closed form (:mod:`repro.core.chain`), so its processes are not ticked
+at all.  The channels are not ticked either: each keeps its own clock
+and is advanced with ``skip_cycles`` only past its grants and
+completions.  When every live process is parked the loop jumps
+straight to the earliest timer or channel event.  Traced runs (tracer
+or explicit attribution) take the same calendar: a parked process's
+stall class holds for its whole sleep, so it is recorded as one
+interval, and a fused chain's class changes are recorded at their own
+cycles.  Reports and traces are identical to the reference loop's
+(``docs/simulator_fastpath.md``).
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from operator import attrgetter
 
 import networkx as nx
 
+from repro.core.chain import FusedChain, fuse_chains
 from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
 from repro.obs import get_tracer
@@ -285,11 +291,12 @@ def run_cycles(
     here), so the count survives an abort.
 
     ``fast`` runs :func:`_run_parked`, a wake calendar that ticks only
-    awake processes and advances each channel only past its grants and
-    completions.  ``fast=False`` ticks every live process and every
-    channel every cycle: the reference the differential suite compares
-    against.  Both leave every process and channel accounted through
-    the final cycle on every exit.
+    awake processes, steps fused work-item chains from one burst
+    submission to the next, and advances each channel only past its
+    grants and completions.  ``fast=False`` ticks every live process
+    and every channel every cycle: the reference the differential
+    suites compare against.  Both leave every process and channel
+    accounted through the final cycle on every exit.
 
     With an ``attribution`` both loops also classify each tick into the
     :mod:`repro.obs.stall` taxonomy (:func:`_classify`), with the same
@@ -351,15 +358,18 @@ class _Calendar:
     order; ``later`` those a stream woke for the next cycle; ``timers``
     is a heap of ``(wake cycle, topological index, sleeper)`` over the
     timer parks, plus an ``inf`` sentinel that sorts after every real
-    entry, so ``timers[0]`` always exists.
+    entry, so ``timers[0]`` always exists.  ``fused`` counts the live
+    fused chains (:mod:`repro.core.chain`), which make progress between
+    their wakes.
     """
 
-    __slots__ = ("awake", "later", "timers")
+    __slots__ = ("awake", "later", "timers", "fused")
 
     def __init__(self):
         self.awake: list = []
         self.later: list = []
         self.timers: list = [(NO_SELF_EVENT, -1, None)]
+        self.fused = 0
 
 
 class _Sleeper:
@@ -463,18 +473,40 @@ def _run_parked(
     Whether a channel is busy is read only on a cycle without process
     progress, the deadlock test.
 
+    Each fused chain (:func:`~repro.core.chain.fuse_chains`) is one
+    more calendar entry at its engine's topological index: it parks on
+    the timer heap from one burst submission to the next and is worked
+    out in closed form in between, and a live one counts as progress.
+
     With an ``attribution`` each cycle records only what may have
-    changed (:func:`_record_parked`), so a sleep is one interval.
+    changed (:func:`_record_parked`), so a sleep is one interval; the
+    chains' class changes (``marks``) are recorded at their own cycles
+    as the loop passes them (:func:`_record`).
     """
     traced = attribution is not None
     cycle = 0
     done_at = {p.name: 0 for p in ordered if p.done()}
+    for channel in channels:
+        channel.rewind()
     calendar = _Calendar()
+    marks: list | None = [] if traced else None
+    chains = fuse_chains(ordered, channels, calendar, max_cycles, marks)
+    fused = {id(p) for c in chains for p in (c.producer, c.engine)}
     sleepers = [
-        _Sleeper(p, i, calendar) for i, p in enumerate(ordered) if not p.done()
+        _Sleeper(p, i, calendar)
+        for i, p in enumerate(ordered)
+        if not (p.done() or id(p) in fused)
     ]
     awake = calendar.awake  # mutated in place: wake_now inserts into it
     awake += sleepers
+    if chains:
+        calendar.fused = len(chains)
+        for chain in chains:
+            chain.start()
+            entry = _Sleeper(chain, chain.index, calendar)
+            entry.park(0, chain.wake)
+            sleepers.append(entry)
+        sleepers.sort(key=_INDEX)
     later, timers = calendar.later, calendar.timers
     stalled: list[_Sleeper] = []  # ticked without progress this cycle
     ticked: list[tuple[_Sleeper, tuple]] = []  # traced: pre-tick samples
@@ -495,7 +527,7 @@ def _run_parked(
                 if s.since is not None:
                     s.resume(cycle)
                 proc = s.proc
-                if traced:
+                if traced and type(proc) is not FusedChain:
                     ticked.append((s, _sample(proc)))
                 if proc.tick(cycle):
                     progressed = True
@@ -513,10 +545,15 @@ def _run_parked(
                     if channel.due <= cycle:
                         channel.skip_cycles(channel.clock, cycle + 1 - channel.clock)
                 owners = _record_parked(
-                    attribution, cycle, sleepers, ticked, channels, busy, owners
+                    attribution, marks, cycle, sleepers, ticked, channels, busy,
+                    owners,
                 )
             cycle += 1  # a stalled cycle still counts
-            if not progressed and not any(ch.busy for ch in channels):
+            if (
+                not progressed
+                and not calendar.fused
+                and not any(ch.busy for ch in channels)
+            ):
                 _abort(sleepers, channels, cycle)
                 raise DeadlockError(
                     _deadlock_message(label, regions, channels, cycle - 1)
@@ -527,22 +564,22 @@ def _run_parked(
                 if channel.due < cycle:
                     channel.skip_cycles(channel.clock, cycle - channel.clock)
             if finished:  # done() is monotone and only a tick flips it
-                kept = []
+                kept, newly = [], {}
                 for s in awake:
-                    if s.proc.done():
-                        done_at[s.proc.name] = cycle
-                    else:
+                    proc = s.proc
+                    if not proc.done():
                         kept.append(s)
+                    elif type(proc) is FusedChain:
+                        done_at.update(proc.done_cycles)  # it marks its own
+                    else:
+                        done_at[proc.name] = cycle
+                        newly[proc.name] = (s.index, _stall.DONE)
                 awake[:] = kept
                 sleepers = [
                     s for s in sleepers if s.since is not None or not s.proc.done()
                 ]
                 if traced and sleepers and cycle < max_cycles:
-                    attribution.record_cycle(
-                        cycle,
-                        {n: _stall.DONE for n, c in done_at.items() if c == cycle},
-                        (),
-                    )
+                    _record(attribution, marks, cycle, 0, newly, ())
             if stalled:
                 parked = False
                 for s in stalled:
@@ -568,13 +605,24 @@ def _run_parked(
                     span = min(int(horizon), max_cycles) - cycle
                     if span > 0:
                         end = cycle + span
+                        if traced and any(ch.due == cycle for ch in channels):
+                            # a fused chain does not wake when its burst
+                            # completes, so the next queued burst can be
+                            # granted on the jump's first cycle
+                            for channel in channels:
+                                if channel.due == cycle:
+                                    channel.skip_cycles(channel.clock, cycle + 1 - channel.clock)
+                            owners = _record_parked(
+                                attribution, marks, cycle, sleepers, ticked,
+                                channels, (), owners,
+                            )
                         for channel in channels:
                             channel.skip_cycles(channel.clock, end - channel.clock)
                         if traced:
                             # a burst completes in a jump only on its last
                             # cycle: the horizon is the completion plus one
                             owners = _record_parked(
-                                attribution, end - 1, sleepers, ticked,
+                                attribution, marks, end - 1, sleepers, ticked,
                                 channels, (), owners,
                             )
                         owner.skipped_cycles += span
@@ -582,6 +630,7 @@ def _run_parked(
         _catch_up(channels, cycle)
     finally:
         if traced:
+            _record(attribution, marks, cycle, 0, {}, None)
             attribution.close(cycle)
     return cycle, done_at
 
@@ -594,11 +643,14 @@ def _catch_up(channels, cycle: int) -> None:
 
 
 def _abort(sleepers: list[_Sleeper], channels, end: int) -> None:
-    """Credit every parked process and catch the channels up to ``end``
-    before an abort, as the reference loop ticked them through it."""
+    """Credit every parked process, settle every fused chain and catch
+    the channels up to ``end`` before an abort, as the reference loop
+    ticked them through it."""
     for s in sleepers:
         if s.since is not None:
             s.resume(end)
+        if type(s.proc) is FusedChain:
+            s.proc.settle(end)
     _catch_up(channels, end)
 
 
@@ -677,6 +729,7 @@ def _attributed_cycle(
 
 def _record_parked(
     attribution: StallAttribution,
+    marks: list | None,
     cycle: int,
     sleepers: list[_Sleeper],
     ticked: list,
@@ -691,14 +744,16 @@ def _record_parked(
     draining since ``owners`` was taken.  A parked process repeats the
     class of its last stalled tick, or is ``transfer`` while its burst
     drains.  A jump passes no ticks: it grants no burst, since a grant
-    follows a completion whose owner wakes the next cycle.
+    follows a completion whose owner wakes the next cycle.  A fused
+    chain's processes are not sleepers: their ``marks`` go in through
+    :func:`_record`.
     """
     now = _owners(channels)
     live = {}
     for s, sample in ticked:
         name = s.proc.name
         s.state = _classify(s.proc, sample)
-        live[name] = _stall.TRANSFER if name in now else s.state
+        live[name] = (s.index, _stall.TRANSFER if name in now else s.state)
     ticked.clear()
     if now != owners:
         merged = {}
@@ -707,12 +762,53 @@ def _record_parked(
             if name in live:
                 merged[name] = live[name]
             elif name in now:
-                merged[name] = _stall.TRANSFER
+                merged[name] = (s.index, _stall.TRANSFER)
             elif name in owners:
-                merged[name] = s.state
+                merged[name] = (s.index, s.state)
         live = merged
-    attribution.record_cycle(cycle, live, busy)
+    _record(attribution, marks, cycle, 1, live, busy)
     return now
+
+
+def _record(
+    attribution: StallAttribution,
+    marks: list | None,
+    cycle: int,
+    group: int,
+    states: dict[str, tuple[int, str]],
+    busy,
+) -> None:
+    """Record ``states`` (name → (topological index, class)) at
+    ``cycle``, merged with the fused chains' ``marks``.
+
+    Within a cycle the reference loop records the processes that
+    finished the cycle before (``group`` 0, as ``done``) and then the
+    live ones (group 1), each in topological order, and the channels
+    last.  A mark is ``(cycle, group, index, name, class)``: every mark
+    before ``(cycle, group)`` is recorded first, at its own cycle, and
+    the marks at ``(cycle, group)`` join ``states`` in index order.
+    ``busy`` is ``None`` only at an exit, which records no ``states``.
+    """
+    key = (cycle, group)
+    while marks and marks[0][:2] < key:
+        at = marks[0][0]
+        passed = {}
+        while marks and marks[0][0] == at and marks[0][:2] < key:
+            _at, _group, _index, name, state = heappop(marks)
+            passed[name] = state
+        attribution.record_cycle(at, passed, ())
+    if busy is None:
+        return
+    if marks and marks[0][:2] == key:
+        merged = [(index, name, state) for name, (index, state) in states.items()]
+        while marks and marks[0][:2] == key:
+            _at, _group, index, name, state = heappop(marks)
+            merged.append((index, name, state))
+        merged.sort()
+        record = {name: state for _index, name, state in merged}
+    else:
+        record = {name: state for name, (_index, state) in states.items()}
+    attribution.record_cycle(cycle, record, busy)
 
 
 def _deadlock_message(label: str, regions, channels, cycle: int) -> str:

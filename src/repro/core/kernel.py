@@ -37,7 +37,12 @@ from repro.rng.marsaglia_bray import marsaglia_bray_attempt
 from repro.rng.mersenne import MTParams, MT19937_PARAMS
 from repro.rng.uniform import uint_to_float, uint_to_symmetric
 
-__all__ = ["GammaKernelConfig", "GammaRNGProcess", "TRANSFORMS"]
+__all__ = ["ADVANCE", "GammaKernelConfig", "GammaRNGProcess", "TRANSFORMS"]
+
+#: The record of a MAINLOOP exit-check tick (a sector advance), which
+#: consumes no RNG words; every other tick's record is an iteration
+#: tuple (see :meth:`GammaRNGProcess._next_record`).
+ADVANCE = object()
 
 
 @lru_cache(maxsize=8)
@@ -245,6 +250,66 @@ class GammaRNGProcess(Process):
 
     # -- the pipeline ------------------------------------------------------------------
 
+    def _next_record(self):
+        """The record of the next MAINLOOP tick.
+
+        :data:`ADVANCE` when the exit condition (evaluated at the top,
+        Listing 2) ends the sector, else ``(ok, wrote, value, bubbles)``:
+        the acceptance flag, the guarded-write flag, the scaled gamma
+        (``None`` unless written) and the gated-MT bubble cycles.  This
+        is the scalar pipeline; :class:`~repro.core.lanes.VectorGammaRNGProcess`
+        reads the same records from precomputed lane blocks.  Depends on
+        ``_k`` and the sector state, which :meth:`tick` advances.
+        """
+        cfg = self.config
+        exit_counter = (
+            self._counter.delayed if cfg.use_delayed_counter else self._counter.value
+        )
+        if self._k >= cfg.effective_limit_max or exit_counter >= cfg.limit_main:
+            return ADVANCE
+
+        self._counter.shift()  # UpdateRegUI
+        n0, n0_valid = self._normal_candidate()
+        u1 = uint_to_float(self.mt_reject(n0_valid))
+        g_value, g_valid = gamma_attempt(n0, u1, self._consts)
+        ok = n0_valid and g_valid
+        u2 = uint_to_float(self.mt_correct(ok))
+        corrected = gamma_correct(g_value, u2, self._consts)
+        gamma = corrected if self._consts.boosted else g_value
+
+        # guarded write; an accepted iteration past the quota is still in
+        # flight because the exit test reads the delayed counter, and the
+        # guard drops it
+        wrote = ok and self._counter.value < cfg.limit_main
+        value = None
+        if wrote:
+            value = gamma * self._scale
+            self._counter.increment()
+
+        # gated-MT flush bubbles (the adapted_mt ablation)
+        bubbles = 0
+        if not cfg.adapted_mt:
+            gates = (True, True, n0_valid, ok)  # norm MTs free-run
+            bubbles = sum(
+                mt.bubble_cycles
+                for mt, g in zip(
+                    (self.mt_norm_a, self.mt_norm_b, self.mt_reject, self.mt_correct),
+                    gates,
+                )
+                if not g
+            )
+        return ok, wrote, value, bubbles
+
+    def _advance_sector(self) -> None:
+        """The exit-check tick: enter the next sector, or finish and
+        close the sink after the last one."""
+        self._sector += 1
+        if self._sector >= self.config.sectors:
+            self._done = True
+            self.sink.close()
+        else:
+            self._enter_sector(self._sector)
+
     def tick(self, cycle: int) -> bool:
         if self._done:
             return self._account(False)
@@ -265,67 +330,28 @@ class GammaRNGProcess(Process):
             self._stall_budget -= 1
             return self._account_bubble()
 
-        # MAINLOOP exit condition (evaluated at the top, Listing 2)
-        cfg = self.config
-        exit_counter = (
-            self._counter.delayed if cfg.use_delayed_counter else self._counter.value
-        )
-        if self._k >= cfg.effective_limit_max or exit_counter >= cfg.limit_main:
-            self._sector += 1
-            if self._sector >= cfg.sectors:
-                self._done = True
-                self.sink.close()
-                return self._account(True)
-            self._enter_sector(self._sector)
+        record = self._next_record()
+        if record is ADVANCE:
+            self._advance_sector()
             return self._account(True)
 
         # ---- one MAINLOOP iteration ----
-        self._counter.shift()  # UpdateRegUI
+        ok, wrote, value, bubbles = record
         self.attempts += 1
         self.stats.iterations += 1
-
-        n0, n0_valid = self._normal_candidate()
-        u1 = uint_to_float(self.mt_reject(n0_valid))
-        g_value, g_valid = gamma_attempt(n0, u1, self._consts)
-        ok = n0_valid and g_valid
-        u2 = uint_to_float(self.mt_correct(ok))
-        corrected = gamma_correct(g_value, u2, self._consts)
-        gamma = corrected if self._consts.boosted else g_value
-
-        wrote = False
-        if ok and self._counter.value < cfg.limit_main:
+        if wrote:
             self.accepts += 1
-            value = gamma * self._scale
             self.produced.append(value)
             self.outputs_produced += 1
-            self._counter.increment()
             if self.sink.can_write(cycle):
                 self.sink.write(value)
             else:
                 self._pending = value
-            wrote = True
         elif ok:
-            # iteration past the quota, still in flight because the exit
-            # test reads the delayed counter — the guarded write drops it
             self.overrun_iterations += 1
-
         self._k += 1
-
         # pipeline-cost bookkeeping for the ablations
-        stall = cfg.ii - 1
-        if not cfg.adapted_mt:
-            gates = (True, True, n0_valid, ok)  # norm MTs free-run
-            bubbles = sum(
-                mt.bubble_cycles
-                for mt, g in zip(
-                    (self.mt_norm_a, self.mt_norm_b, self.mt_reject, self.mt_correct),
-                    gates,
-                )
-                if not g
-            )
-            stall += bubbles
-        self._stall_budget = stall
-        _ = wrote
+        self._stall_budget = self.config.ii - 1 + bubbles
         return self._account(True)
 
     # -- reporting ------------------------------------------------------------------

@@ -13,9 +13,10 @@ sector advances, fast-path hints) untouched:
   (documented to continue the scalar stream exactly) and closed-form
   replays of the delayed-counter exit condition;
 * :class:`VectorGammaRNGProcess` is a drop-in
-  :class:`~repro.core.kernel.GammaRNGProcess` whose ``tick`` consumes
-  one precomputed record per cycle instead of running the scalar
-  pipeline;
+  :class:`~repro.core.kernel.GammaRNGProcess` whose records come from
+  those blocks instead of the scalar pipeline; it keeps the inherited
+  ``tick``, so the per-tick loop and the fused chains
+  (:mod:`repro.core.chain`) step both classes the same way;
 * :func:`gamma_process` is the one construction point for a gamma
   work-item.  :class:`~repro.core.decoupled.DecoupledWorkItems` and
   every pricing network (:mod:`repro.core.pricing`) build through it,
@@ -48,7 +49,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.kernel import GammaKernelConfig, GammaRNGProcess
+from repro.core.kernel import ADVANCE, GammaKernelConfig, GammaRNGProcess
 from repro.core.stream import Stream
 from repro.rng.gamma import marsaglia_tsang_constants
 from repro.rng.icdf import IcdfFpga
@@ -67,10 +68,6 @@ DEFAULT_BLOCK = 256
 #: The one uniform→normal transform the lanes replay (the paper's
 #: Table I FPGA design); every other transform runs the scalar kernel.
 LANE_TRANSFORM = "marsaglia_bray"
-
-#: Sector-advance marker in the record stream (the exit-check tick that
-#: consumes no RNG words).
-_ADVANCE = object()
 
 
 class _BufferedMT:
@@ -157,7 +154,7 @@ class GammaLaneStream:
         exit_k = self._exit_k()
         if self._k >= exit_k:
             # the next tick observes the exit condition: sector advance
-            self._queue.append(_ADVANCE)
+            self._queue.append(ADVANCE)
             self._sector += 1
             if self._sector >= cfg.sectors:
                 self.finished = True
@@ -270,7 +267,7 @@ class GammaLaneStream:
         )
 
     def pop(self):
-        """The next tick's record (an iteration tuple or ``_ADVANCE``)."""
+        """The next tick's record (an iteration tuple or ``ADVANCE``)."""
         while not self._queue:
             self._refill()
         return self._queue.popleft()
@@ -282,7 +279,8 @@ class VectorGammaRNGProcess(GammaRNGProcess):
     Identical cycle accounting, stream traffic, statistics, and output
     values to :class:`~repro.core.kernel.GammaRNGProcess` — only the
     per-iteration mathematics is hoisted into
-    :class:`GammaLaneStream` blocks.  Restricted to the
+    :class:`GammaLaneStream` blocks, whose :meth:`~GammaLaneStream.pop`
+    serves as the inherited ``tick``'s ``_next_record``.  Restricted to the
     ``marsaglia_bray`` transform (the paper's Table I FPGA design).
     """
 
@@ -301,53 +299,7 @@ class VectorGammaRNGProcess(GammaRNGProcess):
             (self.mt_norm_a, self.mt_norm_b, self.mt_reject, self.mt_correct),
             block=block,
         )
-        # the overridden tick preserves the pending/stall-budget
-        # semantics the inherited next_event/skip_cycles hints describe,
-        # so the cycle-skipping fast path stays valid
-        self._hintable = True
-
-    def tick(self, cycle: int) -> bool:
-        if self._done:
-            return self._account(False)
-
-        if self._pending is not None:
-            if not self.sink.can_write(cycle):
-                self._account(False)
-                return False  # genuinely blocked; deadlock-detectable
-            self.sink.write(self._pending)
-            self._pending = None
-            return self._account(True)
-
-        if self._stall_budget > 0:
-            self._stall_budget -= 1
-            return self._account_bubble()
-
-        record = self._lanes.pop()
-        if record is _ADVANCE:
-            self._sector += 1
-            if self._sector >= self.config.sectors:
-                self._done = True
-                self.sink.close()
-                return self._account(True)
-            self._enter_sector(self._sector)
-            return self._account(True)
-
-        ok, wrote, value, bubbles = record
-        self.attempts += 1
-        self.stats.iterations += 1
-        if wrote:
-            self.accepts += 1
-            self.produced.append(value)
-            self.outputs_produced += 1
-            if self.sink.can_write(cycle):
-                self.sink.write(value)
-            else:
-                self._pending = value
-        elif ok:
-            self.overrun_iterations += 1
-        self._k += 1
-        self._stall_budget = self.config.ii - 1 + bubbles
-        return self._account(True)
+        self._next_record = self._lanes.pop
 
 
 def gamma_process(

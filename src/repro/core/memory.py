@@ -147,6 +147,25 @@ class MemoryChannel:
         #: cycle of the next grant or completion (``inf`` while idle);
         #: while a burst drains, the cycle in whose tick it completes
         self.due: int | float = float("inf")
+        self._completed: int | None = None  # cycle of the last completion
+
+    def rewind(self) -> None:
+        """Start the clock over at cycle 0, as a new run does.
+
+        The reference loop's :meth:`tick` takes the cycle from its
+        caller, so a channel that served an earlier run (a sequential
+        pipeline runs its regions one after another on shared channels)
+        simply ticks again from 0.  The fast loop advances a channel from
+        its own ``clock``, so it rewinds each channel first: otherwise an
+        idle channel would book no idle cycles and grant the new run's
+        first burst only at the cycle the last run ended.  A queued burst
+        is granted in the first tick; one still draining keeps its
+        absolute completion cycle, as under :meth:`tick`.
+        """
+        self.clock = 0
+        self._completed = None
+        if self._current is None:
+            self.due = 0 if self._queue else float("inf")
 
     def submit(self, request: BurstRequest) -> BurstRequest:
         """Enqueue a burst; it is granted in FIFO order.
@@ -199,6 +218,7 @@ class MemoryChannel:
         self.stats.bursts += 1
         self.stats.words += len(req.words)
         self._current = None
+        self._completed = cycle
         self.due = cycle + 1 if self._queue else float("inf")
 
     # -- cycle-skipping fast path --------------------------------------------------
@@ -209,18 +229,23 @@ class MemoryChannel:
         The only channel state processes poll is ``request.done``, which
         flips in the tick that drains the last beat and is observed one
         cycle later — so the event is ``completion + 1`` of whichever
-        burst finishes first.  An idle channel with an empty queue never
-        self-generates an event (``inf``).  Exact because arbitration is
-        FIFO: the loop asks only between cycles, before jumping a window
-        in which every process is parked, so no submission lands inside
-        it, and later ones queue behind.  ``cycle`` is the next cycle to
-        tick; no grant or completion may lie before it.
+        burst finishes first.  A channel that went idle with that
+        completion names ``cycle`` itself, the cycle it first reads idle
+        (a traced run records the end of its busy window there); one
+        idle for longer never self-generates an event (``inf``).  Exact
+        because arbitration is FIFO: the loop asks only between cycles,
+        before jumping a window in which every process is parked, so no
+        submission lands inside it, and later ones queue behind.
+        ``cycle`` is the next cycle to tick; no grant or completion may
+        lie before it.
         """
         if self._current is not None:
             return self.due + 1
         if self._queue:
             # grant next tick, drain, observe one cycle after completion
             return cycle + self.config.burst_cycles(len(self._queue[0].words))
+        if self._completed == cycle - 1:
+            return cycle
         return float("inf")
 
     def predict_done(self, request: BurstRequest, cycle: int) -> int | None:

@@ -26,8 +26,13 @@ pipes with cross-kernel overlap.  This module generalizes
 
 Memory channels are first-class at the pipeline level: each region
 attaches the channel(s) its engines use (per-region channel affinity),
-and a channel shared by two regions is ticked exactly once per cycle —
-cross-region FIFO arbitration on the same port.  The combined
+and a channel shared by two regions is one port with cross-region FIFO
+arbitration.  The reference loop ticks it exactly once per cycle; the
+fast loop never ticks it, and advances it once past each of its grants
+and completions, whichever region's engine owns the burst.  A
+work-item chain whose stream is a pipe, a source in one region and its
+Transfer engine in another, is fused like one inside a region
+(:mod:`repro.core.chain`).  The combined
 :class:`PipelineReport` rolls per-region reports, pipe stats and
 graph-indexed channel stats into one record.
 

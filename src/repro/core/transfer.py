@@ -6,7 +6,10 @@ cycle, (b) packs them 16-to-a-word into ``ap_uint<512>`` registers
 (``g512``), (c) collects ``LTRANSF`` words in a local ``transfBuf``, and
 (d) flushes the buffer to device global memory as one burst (``memcpy``)
 at an offset derived from the work-item id (device-level buffer
-combining, Section III-E-2).
+combining, Section III-E-2).  The model keeps a burst's raw values and
+packs them once, when the burst is submitted
+(:func:`~repro.fixedpoint.pack_floats`): the words are the same, and
+packing is combinational, so it costs no cycle.
 
 The engine is busy packing for ``16 * LTRANSF`` cycles per burst, during
 which the *other* work-items' bursts drain on the shared channel — the
@@ -20,38 +23,9 @@ import enum
 from repro.core.memory import BurstRequest, MemoryChannel
 from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
-from repro.fixedpoint import FLOATS_PER_WORD, WORD_BITS, float_to_bits
-from repro.fixedpoint.ap_int import ApUInt
+from repro.fixedpoint import FLOATS_PER_WORD, pack_floats
 
-__all__ = ["TransferEngine", "DummySource", "WordPacker"]
-
-
-class WordPacker:
-    """The ``g512`` helper: accumulate float32 values into a 512-bit word.
-
-    ``push`` returns ``(word, True)`` when the 16th lane completes a word
-    (the paper's ``tFlag``), else ``(None, False)``.
-    """
-
-    def __init__(self):
-        self._raw = 0
-        self._lane = 0
-
-    def push(self, value: float) -> tuple[ApUInt | None, bool]:
-        bits = float_to_bits(value)
-        self._raw |= bits << (32 * self._lane)
-        self._lane += 1
-        if self._lane == FLOATS_PER_WORD:
-            word = ApUInt(WORD_BITS, self._raw)
-            self._raw = 0
-            self._lane = 0
-            return word, True
-        return None, False
-
-    @property
-    def lane(self) -> int:
-        """Lanes filled in the currently forming word."""
-        return self._lane
+__all__ = ["TransferEngine", "DummySource"]
 
 
 class _State(enum.Enum):
@@ -121,10 +95,8 @@ class TransferEngine(Process):
         self.bursts_per_sector = bursts_per_sector
         self.sectors = sectors
         self.values_per_burst = burst_words * FLOATS_PER_WORD
-        self._packer = WordPacker()
-        self._buffer: list[ApUInt] = []  # transfBuf
+        self._values: list[float] = []  # this burst's values (transfBuf)
         self._offset = block_offset * wid
-        self._values_in_burst = 0
         self._burst_index = 0  # completed bursts overall
         self._total_bursts = sectors * bursts_per_sector
         self._state = _State.PACK
@@ -217,24 +189,26 @@ class TransferEngine(Process):
         if not self.dependence_false:
             self._pack_stall = self.NAIVE_PACK_II - 1
         self.stats.iterations += 1
-        word, flag = self._packer.push(value)
-        if flag:
-            self._buffer.append(word)
-        self._values_in_burst += 1
-        if self._values_in_burst == self.values_per_burst:
-            request = BurstRequest(
-                owner=self.name,
-                address=self._offset,
-                words=self._buffer,
-                submitted_cycle=cycle,
-            )
-            self.channel.submit(request)
-            self._pending = request
-            self._offset += self.burst_words
-            self._buffer = []
-            self._values_in_burst = 0
-            self._state = _State.WAIT_BURST
+        values = self._values
+        values.append(value)
+        if len(values) == self.values_per_burst:
+            self._submit(cycle)
         return self._account(True)
+
+    def _submit(self, cycle: int) -> BurstRequest:
+        """Pack this burst's values and submit them at ``cycle``."""
+        request = BurstRequest(
+            owner=self.name,
+            address=self._offset,
+            words=pack_floats(self._values),
+            submitted_cycle=cycle,
+        )
+        self.channel.submit(request)
+        self._pending = request
+        self._offset += self.burst_words
+        self._values = []
+        self._state = _State.WAIT_BURST
+        return request
 
     @property
     def bursts_completed(self) -> int:

@@ -38,35 +38,37 @@ def bits_to_float(bits: int) -> float:
     return struct.unpack("<f", struct.pack("<I", bits & 0xFFFFFFFF))[0]
 
 
-def pack_floats(values: np.ndarray) -> list[ApUInt]:
+def pack_floats(values) -> list[ApUInt]:
     """Pack float32 values into 512-bit words, 16 lanes per word.
 
     Lane 0 occupies the least significant 32 bits, matching the order in
     which ``g512`` shifts values in as the stream is drained.  The input is
     zero-padded to a multiple of 16 (the hardware would pad the final burst
-    the same way).
+    the same way).  Each lane holds the value's :func:`float_to_bits`
+    pattern, bit for bit, signed zeros, subnormals, infinities and NaNs
+    included; the one difference is a finite double beyond float32 range,
+    which numpy rounds to an infinity (with an overflow warning) where
+    :func:`float_to_bits` raises ``OverflowError``.
 
     Parameters
     ----------
     values:
-        1-D array (any float dtype; converted to float32).
+        1-D array or sequence (any float dtype; converted to float32).
 
     Returns
     -------
     list of ``ApUInt(512)`` memory words.
     """
-    arr = np.asarray(values, dtype=np.float32).ravel()
+    arr = np.asarray(values, dtype="<f4").ravel()
     pad = (-arr.size) % FLOATS_PER_WORD
     if pad:
-        arr = np.concatenate([arr, np.zeros(pad, dtype=np.float32)])
-    lanes = arr.view(np.uint32).reshape(-1, FLOATS_PER_WORD)
-    words = []
-    for row in lanes:
-        word = 0
-        for lane, bits in enumerate(row.tolist()):
-            word |= bits << (32 * lane)
-        words.append(ApUInt(WORD_BITS, word))
-    return words
+        arr = np.concatenate([arr, np.zeros(pad, dtype="<f4")])
+    raw = arr.tobytes()
+    size = WORD_BITS // 8
+    return [
+        ApUInt(WORD_BITS, int.from_bytes(raw[i : i + size], "little"))
+        for i in range(0, len(raw), size)
+    ]
 
 
 def unpack_floats(words, count: int | None = None) -> np.ndarray:

@@ -321,6 +321,29 @@ class TestNumericalEquivalence:
         # float32 rounding of the variate dominates max(x - K, 0)
         assert np.allclose(priced, expected, rtol=1e-5, atol=1e-6)
 
+    def test_sequential_run_matches_reference_loop(self):
+        """The regions of a sequential run reuse the channels one after
+        another: each run must start every channel's clock at cycle 0,
+        or the fast loop grants the aggregation region's first burst
+        only at the cycle the pricing region ended (670 cycles instead
+        of 580)."""
+        runs = [
+            run_pricing_pipeline(
+                PricingPipelineConfig(), mode="sequential", fast_path=fast
+            )
+            for fast in (False, True)
+        ]
+        ref, fast = runs
+        assert fast.report.region_done_cycles == ref.report.region_done_cycles
+        assert fast.cycles == ref.cycles == 580
+        assert {n: vars(s) for n, s in fast.report.process_stats.items()} == {
+            n: vars(s) for n, s in ref.report.process_stats.items()
+        }
+        assert (
+            fast.memory.as_float_array().tobytes()
+            == ref.memory.as_float_array().tobytes()
+        )
+
     def test_fused_region_has_no_pipes(self, results):
         build = build_fused_pricing_region(PricingPipelineConfig())
         for proc in build.region.processes:

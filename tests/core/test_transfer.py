@@ -1,4 +1,4 @@
-"""Tests for the Transfer engine (Listing 4) and the word packer."""
+"""Tests for the Transfer engine (Listing 4)."""
 
 import numpy as np
 import pytest
@@ -11,32 +11,8 @@ from repro.core import (
     Stream,
     TransferEngine,
     DummySource,
-    WordPacker,
 )
 from repro.fixedpoint import FLOATS_PER_WORD
-
-
-class TestWordPacker:
-    def test_flag_every_16th(self):
-        p = WordPacker()
-        flags = [p.push(float(i))[1] for i in range(32)]
-        assert flags == [False] * 15 + [True] + [False] * 15 + [True]
-
-    def test_word_contents(self):
-        p = WordPacker()
-        word = None
-        for i in range(16):
-            word, flag = p.push(float(i))
-        raw = int(word)
-        lanes = [(raw >> (32 * k)) & 0xFFFFFFFF for k in range(16)]
-        floats = np.array(lanes, dtype=np.uint32).view(np.float32)
-        np.testing.assert_array_equal(floats, np.arange(16, dtype=np.float32))
-
-    def test_lane_counter_resets(self):
-        p = WordPacker()
-        for i in range(16):
-            p.push(1.0)
-        assert p.lane == 0
 
 
 def _run_engine(n_values, burst_words, sectors=1, channel_cfg=None, wid=0,

@@ -1,5 +1,7 @@
 """Tests for 512-bit word packing (Transfer block, Section III-D)."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +77,60 @@ class TestPacking:
     def test_unpack_accepts_plain_ints(self):
         out = unpack_floats([0x3F800000], count=1)
         assert out[0] == 1.0
+
+    def test_word_every_16th_value(self):
+        """A word completes at every 16th value (the ``g512`` tFlag)."""
+        words = pack_floats([float(i) for i in range(32)])
+        assert len(words) == 2
+        np.testing.assert_array_equal(
+            unpack_floats(words[1:]), np.arange(16, 32, dtype=np.float32)
+        )
+
+    def test_word_contents(self):
+        raw = int(pack_floats([float(i) for i in range(16)])[0])
+        lanes = [(raw >> (32 * k)) & 0xFFFFFFFF for k in range(16)]
+        floats = np.array(lanes, dtype=np.uint32).view(np.float32)
+        np.testing.assert_array_equal(floats, np.arange(16, dtype=np.float32))
+
+    def test_words_start_empty(self):
+        """Nothing carries over from one word into the next."""
+        words = pack_floats([-1.0] * 16 + [1.0] * 16)
+        assert words[1] == pack_floats([1.0] * 16)[0]
+
+
+#: doubles whose float32 bit pattern the Transfer block must keep exactly
+_SPECIAL = [
+    0.0,
+    -0.0,
+    1e-40,  # float32 subnormal
+    -1e-45,  # smallest float32 subnormal (rounded)
+    5e-324,  # a double subnormal: rounds to +0 in float32
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+    struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0],  # sNaN
+    3.4028234663852886e38,  # float32 max
+    -3.4028234663852886e38,
+]
+
+
+@pytest.mark.parametrize("value", _SPECIAL, ids=repr)
+def test_pack_floats_matches_bit_cast(value):
+    """``pack_floats`` keeps :func:`float_to_bits`'s pattern bit for bit."""
+    word = int(pack_floats([value])[0])
+    assert word & 0xFFFFFFFF == float_to_bits(value)
+    assert word >> 32 == 0  # the padding lanes stay zero
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 3.5e38])
+def test_out_of_range_double_packs_as_inf_but_bit_cast_raises(value):
+    """The one difference: a finite double beyond float32 range packs as
+    an infinity, where ``float_to_bits`` raises."""
+    with np.errstate(over="ignore"):
+        word = int(pack_floats([value])[0])
+    assert word == (0x7F800000 if value > 0 else 0xFF800000)
+    with pytest.raises(OverflowError):
+        float_to_bits(value)
 
 
 @given(
