@@ -2,15 +2,17 @@
 
 The serving layer of the reproduction: accepts simulation jobs, admits
 them through a bounded queue with backpressure (``hls::stream``
-semantics at the serving layer, §III-A), coalesces compatible jobs into
-device batches (§III-E combining applied to requests), and dispatches
-batches across a pool of simulated device workers under a pluggable
-scheduling policy.  See ``docs/engine.md`` for the architecture.
+semantics at the serving layer, §III-A), and runs them on a pool of
+simulated device workers, each of which coalesces compatible jobs into
+one device batch (§III-E combining applied to requests) when it takes
+its next batch.  See ``docs/engine.md`` for the architecture.
 
-* :mod:`repro.engine.jobs` — job types and results,
-* :mod:`repro.engine.queue` — the bounded admission queue,
-* :mod:`repro.engine.batcher` — request coalescing,
-* :mod:`repro.engine.pool` — device workers and scheduling policies,
+* :mod:`repro.engine.jobs` — job types, batches and results,
+* :mod:`repro.engine.queue` — the bounded admission queue and the
+  batch rule,
+* :mod:`repro.engine.shard` — the clock-free scheduler of one shard,
+  shared with the virtual tier,
+* :mod:`repro.engine.pool` — device workers and their threads,
 * :mod:`repro.engine.engine` — the orchestrating ExecutionEngine,
 * :mod:`repro.engine.resilience` — fault injection, deadlines,
   retries and circuit breakers (see ``docs/resilience.md``),
@@ -19,17 +21,10 @@ scheduling policy.  See ``docs/engine.md`` for the architecture.
   `chaos` run lives with `serve-chaos` in :mod:`repro.serve.bench`).
 """
 
-from repro.engine.batcher import Batch, Batcher
 from repro.engine.bench import make_job_mix, run_serve_bench
 from repro.engine.engine import ExecutionEngine, JobFailed, JobHandle
-from repro.engine.jobs import GammaJob, Job, JobResult, PortfolioJob
-from repro.engine.pool import (
-    BatchOutcome,
-    DeviceWorker,
-    SchedulingPolicy,
-    WorkerPool,
-    make_policy,
-)
+from repro.engine.jobs import Batch, GammaJob, Job, JobResult, PortfolioJob
+from repro.engine.pool import BatchOutcome, DeviceWorker, WorkerPool
 from repro.engine.queue import (
     BoundedJobQueue,
     EngineError,
@@ -48,11 +43,11 @@ from repro.engine.resilience import (
     TimerThread,
     WorkerFault,
 )
-from repro.engine.stats import EngineStats, JobRecord, WorkerStats
+from repro.engine.shard import ShardCore
+from repro.engine.stats import EngineStats, WorkerStats
 
 __all__ = [
     "Batch",
-    "Batcher",
     "BatchOutcome",
     "BoundedJobQueue",
     "CircuitBreaker",
@@ -70,18 +65,16 @@ __all__ = [
     "JobHandle",
     "JobQueueClosed",
     "JobQueueFull",
-    "JobRecord",
     "JobResult",
     "ManualClock",
     "PortfolioJob",
     "RetryPolicy",
-    "SchedulingPolicy",
+    "ShardCore",
     "SubmitTimeout",
     "TimerThread",
     "WorkerFault",
     "WorkerPool",
     "WorkerStats",
     "make_job_mix",
-    "make_policy",
     "run_serve_bench",
 ]

@@ -1,24 +1,30 @@
-"""The execution engine: admission → batching → multi-device dispatch.
+"""The execution engine: admission → batching → multi-device execution.
 
 Wires the pieces into the serving pipeline the ROADMAP's north star
 asks for, shaped exactly like the paper's §III dataflow one level up:
 
 .. code-block:: text
 
-    submit() ──▶ BoundedJobQueue ──▶ Batcher ──▶ WorkerPool ──▶ results
-                 (backpressure,       (§III-E      (N decoupled
-                  hls::stream          combining)   device timelines)
-                  semantics)
+    submit() ──▶ BoundedJobQueue ──▶ device workers ──▶ results
+                 (backpressure,       (each takes its next §III-E
+                  hls::stream          batch when free; ShardCore
+                  semantics)           decides which and when)
 
 * **Admission** is a bounded FIFO: a full queue blocks the submitter
   (``admission="block"``, the ``hls::stream`` semantics) or sheds it
   with the typed :class:`~repro.engine.queue.JobQueueFull`
   (``admission="shed"``, the load-balancer semantics).
-* **Batching** coalesces jobs with equal batch keys into one device
-  transaction, amortizing kernel-launch and PCIe fixed costs.
-* **Dispatch** spreads batches over N device workers under a pluggable
-  scheduling policy; every worker advances its own simulated device
-  timeline, so throughput is measured on modeled hardware time and is
+* **Pickup**: a free worker forms its batch when it takes it, coalescing
+  jobs with equal batch keys into one device transaction, which
+  amortizes kernel-launch and PCIe fixed costs.  No formed batch waits
+  outside the queue, so the queue's depth is the whole buffer.  Every
+  decision — which jobs, which worker, when a retry is ready, breaker
+  fences, deadline sheds — is the clock-free
+  :class:`~repro.engine.shard.ShardCore`'s, driven here by the worker
+  threads under the queue's lock on ``time.monotonic()`` and by
+  :func:`repro.serve.loadgen.simulate_tier` on a virtual clock.
+* **Workers** each advance their own simulated device timeline, so
+  throughput is measured on modeled hardware time and is
   deterministic.
 * **Determinism**: every job computes from its own seed, so results are
   bit-identical regardless of worker count, batch shape or policy —
@@ -27,19 +33,14 @@ asks for, shaped exactly like the paper's §III dataflow one level up:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import threading
 import time
 from typing import Iterable, Sequence
 
-from repro.engine.batcher import Batch, Batcher
-from repro.engine.jobs import Job, JobResult
-from repro.engine.pool import (
-    BatchOutcome,
-    DeviceWorker,
-    SchedulingPolicy,
-    WorkerPool,
-)
+from repro.engine.jobs import Batch, Job, JobResult, _next_batch_id
+from repro.engine.pool import BatchOutcome, DeviceWorker, WorkerPool
 from repro.engine.queue import (
     BoundedJobQueue,
     EngineError,
@@ -54,10 +55,14 @@ from repro.engine.resilience import (
     RetryPolicy,
     TimerThread,
 )
-from repro.engine.stats import EngineStats, JobRecord, WorkerStats, summarize
+from repro.engine.shard import Attempt, ShardCore
+from repro.engine.stats import EngineStats, WorkerStats
 from repro.obs import MetricsRegistry, get_tracer
 
 __all__ = ["ExecutionEngine", "JobFailed", "JobHandle"]
+
+#: what a worker's pickup returns once a closed engine has nothing left
+_STOP = object()
 
 
 class JobFailed(EngineError):
@@ -147,21 +152,21 @@ class ExecutionEngine:
     max_batch:
         Batch occupancy ceiling; 1 disables coalescing.
     policy:
-        Scheduling policy: "fifo", "least-loaded" or "device-affinity".
+        Which free worker takes the next batch: "fifo" (the one idle
+        longest) or "least-loaded" (the one with the least modeled
+        device time).
     admission:
         "block" (stall the submitter when full) or "shed" (raise
         :class:`JobQueueFull` immediately).
     submit_timeout_s:
         Under "block": raise :class:`SubmitTimeout` after this long.
-    batch_linger_s:
-        Batcher linger window for topping up partial batches.
     workers:
         Pre-built heterogeneous workers, overriding ``n_workers``.
     tracer:
         Explicit :class:`repro.obs.Tracer`; ``None`` resolves the
-        global tracer at construction.  When enabled, the pipeline
-        emits enqueue→batch→dispatch→complete spans plus shed and
-        occupancy events; disabled keeps every hot path event-free.
+        global tracer at construction.  When enabled, the engine emits
+        per-job spans plus shed, retry and breaker events; disabled
+        keeps every hot path event-free.
     retry:
         :class:`~repro.engine.resilience.RetryPolicy` for retryable
         (worker-level) failures; ``None`` uses the default policy.
@@ -178,7 +183,7 @@ class ExecutionEngine:
         tuned by ``breaker_config`` kwargs for
         :class:`~repro.engine.resilience.CircuitBreaker` — ``False``
         disables them, and a ``{worker_name: CircuitBreaker}`` dict
-        supplies pre-built ones (e.g. with a manual clock in tests).
+        supplies pre-built ones, each keeping its own clock.
 
     Attributes
     ----------
@@ -196,10 +201,9 @@ class ExecutionEngine:
         config: str = "Config1",
         queue_depth: int = 64,
         max_batch: int = 8,
-        policy: str | SchedulingPolicy = "fifo",
+        policy: str = "fifo",
         admission: str = "block",
         submit_timeout_s: float | None = None,
-        batch_linger_s: float = 0.0,
         workers: Sequence[DeviceWorker] | None = None,
         tracer=None,
         retry: RetryPolicy | None = None,
@@ -234,29 +238,25 @@ class ExecutionEngine:
         self.tracer = tracer if tracer is not None else get_tracer()
         # bounded histograms: an engine inside a serving tier observes
         # latencies for as long as the tier lives, so the registry must
-        # not grow with job count (benchmarks that want exact
-        # percentiles read EngineStats records, not these)
+        # not grow with job count
         self.metrics = MetricsRegistry(
             prefix="engine.", bounded_histograms=True
         )
         self.queue = BoundedJobQueue(depth=queue_depth, name=f"{name}_admission")
         self.queue.attach_tracer(self.tracer)
-        self.batcher = Batcher(
-            self.queue,
-            max_batch=max_batch,
-            linger_s=batch_linger_s,
-            on_expired=self._expire_job,
-        )
-        self.batcher.attach_tracer(self.tracer)
         breaker_map = self._build_breakers(list(workers), breakers, breaker_config)
-        self.pool = WorkerPool(
-            list(workers),
+        self.pool = WorkerPool(list(workers), breakers=breaker_map)
+        pool_workers = self.pool.workers
+        #: every scheduling decision; touched only under the queue's lock
+        self.core = ShardCore(
+            [w.name for w in pool_workers],
+            [breaker_map.get(w.name) for w in pool_workers],
+            max_batch,
             policy=policy,
-            on_batch=self._on_batch,
-            breakers=breaker_map,
+            retry=self.retry_policy,
+            load=lambda index: pool_workers[index].device_busy_s,
         )
-        self.pool.attach_tracer(self.tracer)
-        for worker in self.pool.workers:
+        for worker in pool_workers:
             if worker.tracer is None:
                 worker.tracer = self.tracer
             if faults is not None and worker.fault_plan is None:
@@ -272,7 +272,6 @@ class ExecutionEngine:
             else None
         )
         self._handles: dict[int, JobHandle] = {}
-        self._records: list[JobRecord] = []
         # slowest-K latency exemplars: (total_s, job_id, trace_id,
         # worker, batch_id) min-heap, kept only for traced jobs so the
         # BENCH p99 rows carry debuggable trace ids
@@ -285,9 +284,8 @@ class ExecutionEngine:
         self._retries = 0
         self._admitted = 0
         self._resolved = 0
-        self._attempts: dict[int, int] = {}  # job_id -> dispatch count
+        #: the deadline watchdog
         self._timer = TimerThread()
-        self._dispatcher: threading.Thread | None = None
         self._started = False
         self._shut_down = False
         self._started_at: float | None = None
@@ -326,12 +324,7 @@ class ExecutionEngine:
         self._started = True
         self._started_at = time.monotonic()
         self._timer.start()
-        self.pool.start()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-engine-dispatcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
+        self.pool.start(self._take, self._done)
         return self
 
     def __enter__(self) -> "ExecutionEngine":
@@ -354,10 +347,10 @@ class ExecutionEngine:
         The job's deadline — its own ``deadline_s`` or the engine's
         ``default_deadline_s`` — is stamped as an absolute monotonic
         instant here and enforced end-to-end: blocking admission never
-        outlasts it, the batcher sheds expired jobs instead of batching
-        them, workers skip them instead of computing them, and a
-        watchdog resolves the handle the moment it passes even if the
-        job is stuck on a wedged worker.
+        outlasts it, a worker taking a batch or starting a retry sheds
+        expired jobs instead of running them, workers skip them instead
+        of computing them, and a watchdog resolves the handle the moment
+        it passes even if the job is stuck on a wedged worker.
         """
         if not self._started:
             raise RuntimeError("engine not started (use start() or `with`)")
@@ -421,7 +414,7 @@ class ExecutionEngine:
             )
         if job.deadline_at is not None:
             # watchdog: resolve the handle the instant the deadline
-            # passes, wherever the job is stuck (queue, batch, worker)
+            # passes, wherever the job is stuck (queue, backoff, worker)
             self._timer.schedule(
                 job.deadline_at, lambda: self._expire_job(job)
             )
@@ -442,7 +435,8 @@ class ExecutionEngine:
         Resolution counts results, typed errors, deadline sheds and
         abandoned handles alike — pending retries included — so this is
         the "no caller is still blocked on a handle" condition, not
-        merely "the queue is empty".
+        merely "the queue is empty".  Then it waits until no worker
+        still runs a batch (one whose jobs the watchdog resolved).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -452,10 +446,11 @@ class ExecutionEngine:
             if deadline is not None and time.monotonic() > deadline:
                 return False
             time.sleep(0.002)
-        remaining = (
-            None if deadline is None else max(0.0, deadline - time.monotonic())
-        )
-        return self.pool.wait_idle(remaining)
+        while not self.queue.wait(lambda fifo, now, closed: (self.core.idle, None)):
+            if deadline is not None and time.monotonic() > deadline:
+                return False
+            time.sleep(0.002)
+        return True
 
     def shutdown(self, drain: bool = True, timeout: float | None = 60.0) -> None:
         """Stop admitting; optionally drain pending work, then stop workers.
@@ -463,10 +458,11 @@ class ExecutionEngine:
         With ``drain=True`` (graceful) every admitted job completes and
         its handle resolves.  With ``drain=False`` pending jobs are
         abandoned: their handles fail with :class:`JobQueueClosed`.
-        Either way the shutdown is *total*: the fault plan's wedges are
-        released, the timer thread stops, and any handle still pending
-        after the workers stop — a retry that never got its re-dispatch,
-        a batch stuck on a wedged device — resolves with
+        Either way no failure retries once shutdown began, and the
+        shutdown is *total*: the fault plan's wedges are released, the
+        workers end once nothing is queued, retrying or running, the
+        watchdog stops, and any handle still pending — work a timed-out
+        drain left, a batch stuck on a wedged device — resolves with
         :class:`JobQueueClosed` rather than hanging its waiter.
         """
         if self._shut_down:
@@ -480,33 +476,23 @@ class ExecutionEngine:
             return
         if drain:
             self.drain(timeout)
-        else:
-            while True:
-                batch, expired = self.queue.get_batch(
-                    max_size=1 << 30, timeout=0.0
+        abandoned = self.queue.wait(
+            lambda fifo, now, closed: (self.core.abandon(fifo), None)
+        )
+        for job in abandoned:
+            with self._state_lock:
+                handle = self._handles.pop(job.job_id, None)
+            if handle is not None:
+                self._finish(
+                    handle,
+                    None,
+                    JobQueueClosed(f"job {job.job_id} abandoned by shutdown"),
                 )
-                if not (batch or expired):
-                    break
-                for job in batch + expired:
-                    with self._state_lock:
-                        handle = self._handles.pop(job.job_id, None)
-                    if handle is not None:
-                        self._finish(
-                            handle,
-                            None,
-                            JobQueueClosed(
-                                f"job {job.job_id} abandoned by "
-                                "shutdown(drain=False)"
-                            ),
-                        )
-            self.pool.wait_idle(timeout)
+        self.pool.join(timeout)
         self._timer.stop()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
-        self.pool.stop(timeout)
         # nothing may hang past shutdown: any handle still tracked
-        # (cancelled retry, batch lost on a stopped/wedged worker)
-        # resolves with the typed closed error
+        # (a batch lost on a stopped/wedged worker) resolves with the
+        # typed closed error
         with self._state_lock:
             leftovers = list(self._handles.values())
             self._handles.clear()
@@ -555,10 +541,9 @@ class ExecutionEngine:
         handle._fulfill(result, error)
         with self._state_lock:
             self._resolved += 1
-            self._attempts.pop(handle.job.job_id, None)
 
     def _expire_job(self, job: Job) -> None:
-        """Deadline watchdog / batcher shed: fail the handle if pending."""
+        """Deadline watchdog / pickup shed: fail the handle if pending."""
         with self._state_lock:
             handle = self._handles.pop(job.job_id, None)
         if handle is None:
@@ -589,7 +574,7 @@ class ExecutionEngine:
                 args={"worker": worker, "from": old, "to": new},
             )
 
-    def _retry_candidate(self, job: Job, error: BaseException) -> bool:
+    def _retry_candidate(self, job: Job, error: BaseException, attempt: int) -> bool:
         """Should this failed job go back out to a different worker?"""
         if self._shut_down:
             return False
@@ -600,74 +585,51 @@ class ExecutionEngine:
         with self._state_lock:
             if job.job_id not in self._handles:
                 return False  # watchdog already resolved it
-            attempts = self._attempts.get(job.job_id, 1)
-        return attempts < self.retry_policy.max_attempts
+        return attempt < self.retry_policy.max_attempts
 
-    def _schedule_retry(self, jobs: list[Job], outcome: BatchOutcome) -> None:
-        """Re-dispatch failed jobs after backoff, avoiding the failed worker."""
-        with self._state_lock:
-            attempt = max(self._attempts.get(j.job_id, 1) for j in jobs) + 1
-            for j in jobs:
-                self._attempts[j.job_id] = attempt
-            self._retries += len(jobs)
-        self.metrics.counter("job_retries").inc(len(jobs))
-        avoid = frozenset(outcome.batch.avoid | {outcome.worker})
-        retry_batch = Batch(jobs=jobs, attempt=attempt, avoid=avoid)
-        # keyed on the job seed, not the per-process job id, so a rerun
-        # of the same seeds (or the virtual tier) backs off identically
-        delay = self.retry_policy.delay_s(attempt - 1, key=jobs[0].seed)
-        retry_at = time.monotonic()
-        for j in jobs:
-            if j.trace is not None:
-                j.trace.emit(
-                    "retry", "retry_scheduled", t=retry_at,
-                    attempt=attempt, delay_s=delay,
-                    avoid=sorted(avoid),
-                    batch_id=retry_batch.batch_id,
-                )
-        if self._jobs_track is not None:
-            self.tracer.instant(
-                self._jobs_track, "retry_scheduled",
-                args={
-                    "batch_id": retry_batch.batch_id,
-                    "jobs": len(jobs),
-                    "attempt": attempt,
-                    "delay_ms": round(1e3 * delay, 3),
-                    "avoid": sorted(avoid),
-                },
-            )
-        self._timer.schedule(
-            time.monotonic() + delay,
-            lambda: self._redispatch(retry_batch),
-        )
+    # -- worker threads ------------------------------------------------------------
 
-    def _redispatch(self, batch: Batch) -> None:
-        if self._shut_down:
-            return  # shutdown resolves the leftover handles
-        # bypass the inflight cap: these jobs were admitted (and
-        # counted) once already, and the timer thread must never block
-        self.pool.dispatch(batch, wait_capacity=False)
+    def _pickup(self, index: int, fifo, now: float, closed: bool):
+        """Worker ``index``'s turn at the core, under the queue lock."""
+        pick = self.core.next_start(fifo, now)
+        if pick is None:
+            # nothing queued or retrying: a closed engine whose workers
+            # are all free has nothing left to do
+            return (_STOP if closed and self.core.idle else None), None
+        if pick.worker != index:
+            return None, None  # whoever is picked was woken too
+        if pick.start > now:
+            return None, pick.start  # a retry's backoff or a breaker fence
+        return self.core.begin(pick, now, fifo), None
 
-    def _dispatch_loop(self) -> None:
+    def _take(self, index: int) -> Batch | None:
+        """Block until worker ``index`` takes its next batch; None ends it."""
+        pickup = functools.partial(self._pickup, index)
         while True:
-            batch = self.batcher.next_batch(timeout=0.05)
-            if batch is None:
-                if self.queue.closed and not len(self.queue):
-                    return
+            attempt = self.queue.wait(pickup)
+            if attempt is _STOP:
+                return None
+            for job in attempt.expired:
+                self._expire_job(job)
+            if attempt.jobs:
+                return self._batch(attempt)
+
+    def _batch(self, attempt: Attempt) -> Batch:
+        """The started attempt's batch; a fresh one stamps its pickup."""
+        batch = Batch(
+            jobs=attempt.jobs, attempt=attempt.attempt, avoid=attempt.avoid
+        )
+        if attempt.batch_id is not None:
+            batch.batch_id = attempt.batch_id  # as its retry was announced
+            return batch
+        now = attempt.start
+        with self._state_lock:
+            handles = [self._handles.get(job.job_id) for job in batch.jobs]
+        for job, handle in zip(batch.jobs, handles):
+            if handle is None:
                 continue
-            now = time.monotonic()
-            with self._state_lock:
-                for job in batch.jobs:
-                    handle = self._handles.get(job.job_id)
-                    if handle is not None:
-                        handle.picked_up_at = now
-            for job in batch.jobs:
-                if job.trace is None:
-                    continue
-                with self._state_lock:
-                    handle = self._handles.get(job.job_id)
-                if handle is None:
-                    continue
+            handle.picked_up_at = now
+            if job.trace is not None:
                 job.trace.emit(
                     "queue", "wait", t=handle.submitted_at,
                     dur=now - handle.submitted_at, engine=self.name,
@@ -677,9 +639,59 @@ class ExecutionEngine:
                     batch_id=batch.batch_id, size=batch.size,
                     attempt=batch.attempt,
                 )
-            self.pool.dispatch(batch)
+        return batch
 
-    def _on_batch(self, outcome: BatchOutcome) -> None:
+    def _done(self, index: int, outcome: BatchOutcome) -> None:
+        """Resolve a finished batch, then hand the worker back to the core."""
+        retry_jobs = self._on_batch(outcome)
+        batch = outcome.batch
+        retry_id = None
+        if retry_jobs:
+            retry_id = _next_batch_id()
+            self._announce_retry(
+                retry_jobs, outcome, retry_id,
+                self.core.backoff(batch.attempt, retry_jobs),
+            )
+        self.queue.wait(
+            lambda fifo, now, closed: (
+                self.core.finish(
+                    index, now, outcome.worker_fault is not None,
+                    retry_jobs, batch.attempt, batch.avoid, retry_id,
+                ),
+                None,
+            )
+        )
+
+    def _announce_retry(
+        self, jobs: list[Job], outcome: BatchOutcome, batch_id: int, delay: float
+    ) -> None:
+        attempt = outcome.batch.attempt + 1
+        avoid = sorted(outcome.batch.avoid | {outcome.worker})
+        with self._state_lock:
+            self._retries += len(jobs)
+        self.metrics.counter("job_retries").inc(len(jobs))
+        retry_at = time.monotonic()
+        for j in jobs:
+            if j.trace is not None:
+                j.trace.emit(
+                    "retry", "retry_scheduled", t=retry_at,
+                    attempt=attempt, delay_s=delay, avoid=avoid,
+                    batch_id=batch_id,
+                )
+        if self._jobs_track is not None:
+            self.tracer.instant(
+                self._jobs_track, "retry_scheduled",
+                args={
+                    "batch_id": batch_id,
+                    "jobs": len(jobs),
+                    "attempt": attempt,
+                    "delay_ms": round(1e3 * delay, 3),
+                    "avoid": avoid,
+                },
+            )
+
+    def _on_batch(self, outcome: BatchOutcome) -> list[Job]:
+        """Resolve a batch's jobs; returns the ones that should retry."""
         now = time.monotonic()
         fixed_overhead = outcome.batch_device_seconds - sum(
             outcome.device_seconds
@@ -707,7 +719,9 @@ class ExecutionEngine:
                         else {}
                     ),
                 )
-            if error is not None and self._retry_candidate(job, error):
+            if error is not None and self._retry_candidate(
+                job, error, outcome.batch.attempt
+            ):
                 retry_jobs.append(job)
                 continue  # the handle stays pending until the retry lands
             with self._state_lock:
@@ -717,7 +731,7 @@ class ExecutionEngine:
             if error is not None:
                 # terminal failure (exhausted retries or not retryable):
                 # resolve the handle but keep it out of the completion
-                # records — failed jobs are not throughput
+                # series — failed jobs are not throughput
                 self.metrics.counter("jobs_failed").inc()
                 self._finish(handle, None, error)
                 continue
@@ -735,21 +749,9 @@ class ExecutionEngine:
                 total_s=now - handle.submitted_at,
                 device_seconds=dev_s + overhead_share,
             )
-            with self._state_lock:
-                self._records.append(
-                    JobRecord(
-                        job_id=job.job_id,
-                        worker=outcome.worker,
-                        batch_id=outcome.batch.batch_id,
-                        batch_size=outcome.batch.size,
-                        queue_wait_s=queue_wait,
-                        service_s=outcome.service_wall_s,
-                        total_s=result.total_s,
-                        device_seconds=result.device_seconds,
-                    )
-                )
             self.metrics.counter("jobs_completed").inc()
             self.metrics.histogram("queue_wait_s").observe(queue_wait)
+            self.metrics.histogram("service_s").observe(outcome.service_wall_s)
             self.metrics.histogram("total_s").observe(result.total_s)
             if job.trace is not None:
                 # slowest-K exemplars make the BENCH p99 rows debuggable:
@@ -785,23 +787,23 @@ class ExecutionEngine:
         self.metrics.histogram("batch_occupancy").observe(outcome.batch.size)
         if outcome.worker_fault is not None:
             self.metrics.counter("worker_faults").inc()
-        if retry_jobs:
-            self._schedule_retry(retry_jobs, outcome)
+        return retry_jobs
 
     # -- reporting ---------------------------------------------------------------
 
     def stats(self) -> EngineStats:
-        """Aggregate report over everything completed so far."""
+        """Aggregate report over everything completed so far.
+
+        Taken from the engine's bounded metrics, so it costs the same
+        however many jobs the engine served.
+        """
         with self._state_lock:
-            records = list(self._records)
             shed = self._jobs_shed
             deadline_shed = self._jobs_deadline_shed
             retries = self._retries
             exemplars = sorted(self._exemplars, reverse=True)
             trace_sampling = self._trace_sampling
-        batch_sizes: dict[int, int] = {}
-        for r in records:
-            batch_sizes[r.batch_id] = r.batch_size
+        occupancy = self.metrics.histogram("batch_occupancy").snapshot()
         end = self._stopped_at or time.monotonic()
         wall = end - self._started_at if self._started_at else 0.0
         workers = [
@@ -816,16 +818,14 @@ class ExecutionEngine:
         ]
         busy = [w.device_busy_s for w in workers]
         return EngineStats(
-            jobs_completed=len(records),
+            jobs_completed=self.metrics.counter("jobs_completed").value,
             jobs_shed=shed,
-            batches=len(batch_sizes),
-            mean_batch_occupancy=(
-                len(records) / len(batch_sizes) if batch_sizes else 0.0
-            ),
-            max_batch_occupancy=max(batch_sizes.values(), default=0),
-            queue_wait_s=summarize([r.queue_wait_s for r in records]),
-            service_s=summarize([r.service_s for r in records]),
-            total_s=summarize([r.total_s for r in records]),
+            batches=self.metrics.counter("batches").value,
+            mean_batch_occupancy=occupancy["mean"],
+            max_batch_occupancy=int(occupancy["max"]),
+            queue_wait_s=self._summary("queue_wait_s"),
+            service_s=self._summary("service_s"),
+            total_s=self._summary("total_s"),
             wall_seconds=wall,
             modeled_makespan_s=max(busy, default=0.0),
             modeled_device_seconds=sum(busy),
@@ -842,7 +842,6 @@ class ExecutionEngine:
                 else {}
             ),
             workers=workers,
-            records=records,
             latency_exemplars=[
                 {
                     "total_s": total_s,
@@ -855,3 +854,9 @@ class ExecutionEngine:
             ],
             trace_sampling=trace_sampling,
         )
+
+    def _summary(self, name: str) -> dict[str, float]:
+        """count/mean/p50/p95/p99/max of one latency histogram."""
+        snap = self.metrics.histogram(name).snapshot()
+        summary = {k: snap[k] for k in ("mean", "p50", "p95", "p99", "max")}
+        return {"count": int(snap["count"]), **summary}

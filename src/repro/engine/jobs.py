@@ -37,15 +37,21 @@ from repro.finance.portfolio import Portfolio
 from repro.harness.configs import CONFIGURATIONS
 from repro.rng.gamma import gamma_samples
 
-__all__ = ["Job", "GammaJob", "PortfolioJob", "JobResult"]
+__all__ = ["Batch", "Job", "GammaJob", "PortfolioJob", "JobResult"]
 
 _job_ids = itertools.count(1)
-_job_ids_lock = threading.Lock()
+_batch_ids = itertools.count(1)
+_ids_lock = threading.Lock()
 
 
 def _next_job_id() -> int:
-    with _job_ids_lock:
+    with _ids_lock:
         return next(_job_ids)
+
+
+def _next_batch_id() -> int:
+    with _ids_lock:
+        return next(_batch_ids)
 
 
 @dataclass
@@ -58,8 +64,8 @@ class Job:
     ``deadline_s`` is the job's end-to-end latency budget, measured
     from admission: once it elapses the job is shed with the typed
     :class:`repro.engine.resilience.JobDeadlineExceeded` wherever it
-    happens to be — waiting in the queue, lingering in a partial batch,
-    or dispatched to a wedged worker — instead of occupying capacity.
+    happens to be — waiting in the queue, backing off before a retry,
+    or running on a wedged worker — instead of occupying capacity.
     ``None`` (the default) means no deadline.  The engine stamps the
     absolute ``deadline_at`` (monotonic seconds) at admission; every
     later stage compares against that single value, so the budget never
@@ -214,6 +220,37 @@ class PortfolioJob(Job):
 
     def result_bytes(self) -> int:
         return self.scenarios * 8  # one float64 loss per scenario
+
+
+@dataclass
+class Batch:
+    """One coalesced device transaction: jobs sharing one batch key.
+
+    ``attempt`` counts the attempts at this job set (1 = first try;
+    retries of a failed attempt re-batch with ``attempt + 1``), and
+    ``avoid`` names workers a retry must steer away from (the ones
+    that already failed it).
+    """
+
+    jobs: list[Job]
+    attempt: int = 1
+    avoid: frozenset[str] = frozenset()
+    batch_id: int = field(default_factory=_next_batch_id, init=False)
+
+    def __post_init__(self):
+        if not self.jobs:
+            raise ValueError("a batch needs at least one job")
+
+    @property
+    def key(self) -> Hashable:
+        return self.jobs[0].batch_key()
+
+    @property
+    def size(self) -> int:
+        return len(self.jobs)
+
+    def result_bytes(self) -> int:
+        return sum(job.result_bytes() for job in self.jobs)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Device worker pool: N simulated accelerators behind one dispatcher.
+"""Device workers: N simulated accelerators, one host thread each.
 
 Each :class:`DeviceWorker` is a device model plus a modeled device
 clock: the device comes from the worker's
@@ -6,8 +6,11 @@ clock: the device comes from the worker's
 :class:`~repro.devices.FpgaModel` (FPGA workers) or
 :class:`~repro.devices.FixedArchitectureModel` (CPU/GPU/PHI).  Each
 worker runs on its own host thread, exactly the decoupled-work-item
-picture lifted one level: independent engines fed from bounded FIFOs,
-stalling when starved, never interfering with each other's state.
+picture lifted one level: like a work-item of the paper's Listing 1
+that pulls its next token from its stream when it is free, a free
+worker takes its next batch from the admission queue, and workers never
+interfere with each other's state.  Which worker takes which batch,
+and when, is the :class:`~repro.engine.shard.ShardCore` decision.
 
 A batch is still one §III-E device transaction on the worker's modeled
 clock: a single kernel covering every job in the batch followed by a
@@ -19,30 +22,17 @@ both serving tiers: the live worker here and the virtual shard of
 same arithmetic, in the same order, as the in-order
 :class:`repro.opencl.CommandQueue` would, but keeps no buffers or
 events: a worker's memory stays flat however many batches it serves.
-
-The dispatcher chooses the worker per batch through a pluggable
-:class:`SchedulingPolicy`:
-
-* ``fifo`` — batches land in a shared run queue; the first worker to go
-  idle takes the oldest batch (work-conserving, no placement smarts);
-* ``least-loaded`` — the batch goes to the worker whose modeled device
-  timeline has the smallest backlog;
-* ``device-affinity`` — the batch key hashes to a fixed worker, keeping
-  a configuration's jobs on one device (warm state, stable batching).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import zlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.devices import FixedArchitectureModel, FpgaModel
-from repro.engine.batcher import Batch
-from repro.engine.jobs import Job
+from repro.engine.jobs import Batch
 from repro.engine.resilience import CircuitBreaker, JobDeadlineExceeded
 from repro.harness.configs import CONFIGURATIONS, Configuration
 from repro.harness.session import KernelSession
@@ -52,10 +42,8 @@ from repro.opencl.platform import Device
 __all__ = [
     "BatchOutcome",
     "DeviceWorker",
-    "SchedulingPolicy",
     "WorkerPool",
     "batch_service_seconds",
-    "make_policy",
 ]
 
 
@@ -135,19 +123,6 @@ class DeviceWorker:
         with self._timeline_lock:
             return self._device_now
 
-    def estimate_batch_seconds(self, batch: Batch) -> float:
-        """Modeled cost of a batch on *this* worker (dispatch heuristic).
-
-        The same kernel-plus-readback bill :meth:`execute` charges, so a
-        pending estimate adds to :attr:`device_busy_s` like for like.
-        """
-        kernel_s, read_s = batch_service_seconds(
-            self.device,
-            (job.device_seconds(self.model) for job in batch.jobs),
-            batch.result_bytes(),
-        )
-        return kernel_s + read_s
-
     # -- execution ---------------------------------------------------------------
 
     def execute(self, batch: Batch) -> BatchOutcome:
@@ -169,7 +144,7 @@ class DeviceWorker:
         device_seconds: list[float] = []
         for job in batch.jobs:
             if job.expired():
-                # the deadline passed between dispatch and device
+                # the deadline passed between pickup and device
                 # execution: shed instead of burning device time
                 payloads.append(None)
                 device_seconds.append(0.0)
@@ -248,105 +223,28 @@ class DeviceWorker:
         )
 
 
-# ---------------------------------------------------------------------------
-# scheduling policies
-# ---------------------------------------------------------------------------
-
-
-class SchedulingPolicy:
-    """Chooses the worker for a batch; None means the shared FIFO."""
-
-    name = "base"
-
-    def select(
-        self,
-        batch: Batch,
-        workers: list[DeviceWorker],
-        pending_seconds: dict[str, float],
-    ) -> DeviceWorker | None:
-        raise NotImplementedError
-
-
-class FifoPolicy(SchedulingPolicy):
-    """Shared run queue: the first idle worker takes the oldest batch."""
-
-    name = "fifo"
-
-    def select(self, batch, workers, pending_seconds):
-        return None
-
-
-class LeastLoadedPolicy(SchedulingPolicy):
-    """Send the batch to the smallest modeled backlog."""
-
-    name = "least-loaded"
-
-    def select(self, batch, workers, pending_seconds):
-        return min(
-            workers,
-            key=lambda w: w.device_busy_s + pending_seconds[w.name],
-        )
-
-
-class DeviceAffinityPolicy(SchedulingPolicy):
-    """Pin each batch key to one worker via a stable hash."""
-
-    name = "device-affinity"
-
-    def select(self, batch, workers, pending_seconds):
-        digest = zlib.crc32(repr(batch.key).encode())
-        return workers[digest % len(workers)]
-
-
-_POLICIES = {
-    p.name: p for p in (FifoPolicy, LeastLoadedPolicy, DeviceAffinityPolicy)
-}
-
-
-def make_policy(policy: str | SchedulingPolicy) -> SchedulingPolicy:
-    if isinstance(policy, SchedulingPolicy):
-        return policy
-    try:
-        return _POLICIES[policy]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduling policy {policy!r}; "
-            f"known: {sorted(_POLICIES)}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# the pool
-# ---------------------------------------------------------------------------
-
-
 class WorkerPool:
-    """Worker threads pulling batches from per-worker and shared inboxes.
+    """The device workers, their breakers and one host thread each.
 
     Parameters
     ----------
     workers:
-        The device workers (>= 1).
-    policy:
-        Scheduling policy name or instance.
-    on_batch:
-        Callback invoked (from the worker thread) with each
-        :class:`BatchOutcome`.
+        The device workers (>= 1, unique names).
     breakers:
-        Optional per-worker :class:`repro.engine.resilience.CircuitBreaker`
-        map.  When present, every policy consults it: dispatch places
-        batches only on workers whose breaker admits them (``fifo``
-        workers additionally self-gate at shared-queue pickup), worker
-        faults are recorded as failures, successful batches as
-        successes.  A batch with no admitting worker waits in the
-        shared queue until a breaker half-opens.
+        Optional per-worker :class:`~repro.engine.resilience.CircuitBreaker`
+        map; the engine's :class:`~repro.engine.shard.ShardCore` fences
+        workers by it and records their outcomes on it.
+
+    A worker's thread loops: ``take(index)`` blocks until the worker's
+    next batch (None ends the thread), the worker executes it, and
+    ``done(index, outcome)`` reports the :class:`BatchOutcome`.  An
+    exception out of ``execute`` is a worker-level fault: it fails every
+    job of the batch and sets ``worker_fault``.
     """
 
     def __init__(
         self,
         workers: list[DeviceWorker],
-        policy: str | SchedulingPolicy = "fifo",
-        on_batch: Callable[[BatchOutcome], None] | None = None,
         breakers: dict[str, CircuitBreaker] | None = None,
     ):
         if not workers:
@@ -354,172 +252,46 @@ class WorkerPool:
         names = [w.name for w in workers]
         if len(set(names)) != len(names):
             raise ValueError(f"worker names must be unique, got {names}")
-        self.workers = workers
-        self.policy = make_policy(policy)
-        self.on_batch = on_batch
-        self.max_inflight = 2 * len(workers)
         if breakers is not None:
-            unknown = set(breakers) - {w.name for w in workers}
+            unknown = set(breakers) - set(names)
             if unknown:
                 raise ValueError(
                     f"breakers for unknown workers: {sorted(unknown)}"
                 )
+        self.workers = workers
         self.breakers = breakers or {}
-        self._lock = threading.Lock()
-        self._work_ready = threading.Condition(self._lock)
-        self._shared: deque[Batch] = deque()
-        self._private: dict[str, deque[Batch]] = {w.name: deque() for w in workers}
-        self._pending_seconds: dict[str, float] = {w.name: 0.0 for w in workers}
-        # batch_id -> (worker name, estimate) for batches counted in
-        # _pending_seconds; the estimate is released at batch completion
-        # (not pickup), so in-execution work stays visible to the
-        # least-loaded policy
-        self._counted: dict[int, tuple[str, float]] = {}
-        self._inflight = 0
-        self._idle = threading.Condition(self._lock)
-        self._stopping = False
         self._threads: list[threading.Thread] = []
-        self.tracer = None
-        self._track = None
 
-    def attach_tracer(
-        self, tracer, process: str = "engine", thread: str = "dispatcher"
+    def start(
+        self,
+        take: Callable[[int], Batch | None],
+        done: Callable[[int, BatchOutcome], None],
     ) -> None:
-        """Emit a dispatch instant per batch handed to a worker."""
-        self.tracer = tracer
-        self._track = tracer.track(process, thread) if tracer.enabled else None
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> None:
         if self._threads:
             raise RuntimeError("pool already started")
-        for worker in self.workers:
+        for index, worker in enumerate(self.workers):
             t = threading.Thread(
-                target=self._run_worker,
-                args=(worker,),
+                target=self._run,
+                args=(index, take, done),
                 name=f"repro-engine-{worker.name}",
                 daemon=True,
             )
             self._threads.append(t)
             t.start()
 
-    def _admitting(self, worker: DeviceWorker) -> bool:
-        breaker = self.breakers.get(worker.name)
-        return breaker is None or breaker.can_admit()
-
-    def _select_target(self, batch: Batch) -> DeviceWorker | None:
-        """Pick the batch's worker, consulting avoid-set and breakers.
-
-        Retries (``batch.avoid`` non-empty) go least-loaded among the
-        admitting non-avoided workers — the whole point is a *different*
-        device.  If every worker's breaker refuses, the batch falls to
-        the shared queue, where workers self-gate and the first breaker
-        to half-open picks it up as a probe.
-        """
-        candidates = [w for w in self.workers if w.name not in batch.avoid]
-        if not candidates:  # every worker already failed it: relax avoid
-            candidates = self.workers
-        admitting = [w for w in candidates if self._admitting(w)]
-        if not admitting:
-            return None
-        if batch.avoid:
-            return min(
-                admitting,
-                key=lambda w: w.device_busy_s + self._pending_seconds[w.name],
-            )
-        return self.policy.select(
-            batch, admitting, dict(self._pending_seconds)
-        )
-
-    def dispatch(self, batch: Batch, wait_capacity: bool = True) -> None:
-        """Hand a batch to the policy-selected inbox.
-
-        Blocks at two outstanding batches per worker — the
-        pool-side half of the backpressure chain (worker slots fill →
-        dispatch stalls → admission queue fills → submitters stall or
-        shed).  Retry re-dispatches pass ``wait_capacity=False``: the
-        jobs were already admitted once and counted against the cap,
-        and the retry path must never block the timer thread.
-        """
-        with self._lock:
-            while (
-                wait_capacity
-                and self._inflight >= self.max_inflight
-                and not self._stopping
-            ):
-                self._idle.wait(0.5)
-            target = self._select_target(batch)
-            if target is None:
-                self._shared.append(batch)
-            else:
-                self._private[target.name].append(batch)
-                estimate = target.estimate_batch_seconds(batch)
-                self._pending_seconds[target.name] += estimate
-                self._counted[batch.batch_id] = (target.name, estimate)
-            self._inflight += 1
-            self._work_ready.notify_all()
-        if self._track is not None:
-            self.tracer.instant(
-                self._track, "dispatch",
-                args={
-                    "batch_id": batch.batch_id,
-                    "size": batch.size,
-                    "attempt": batch.attempt,
-                    "target": target.name if target is not None else "shared",
-                },
-            )
-
-    def wait_idle(self, timeout: float | None = None) -> bool:
-        """Block until every dispatched batch completed (graceful drain)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._idle:
-            while self._inflight > 0:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
-
-    def stop(self, timeout: float | None = 10.0) -> None:
-        """Stop the worker threads (pending batches still drain first)."""
-        with self._lock:
-            self._stopping = True
-            self._work_ready.notify_all()
+    def join(self, timeout: float | None = 10.0) -> None:
         for t in self._threads:
             t.join(timeout)
 
-    # -- worker loop -------------------------------------------------------------
-
-    def _take(self, worker: DeviceWorker) -> Batch | None:
-        """Next batch for this worker: private inbox first, then shared.
-
-        Shared-queue pickup is breaker-gated: an open breaker keeps
-        this worker from taking batches (they wait for another worker
-        or for this breaker's cooldown), and a half-open one admits
-        only its probe quota — the ``fifo`` policy's consultation of
-        the breaker.
-        """
-        breaker = self.breakers.get(worker.name)
-        with self._work_ready:
-            while True:
-                private = self._private[worker.name]
-                if private:
-                    return private.popleft()
-                if self._shared and (breaker is None or breaker.admit()):
-                    return self._shared.popleft()
-                if self._stopping:
-                    return None
-                self._work_ready.wait(0.5)
-
-    def _run_worker(self, worker: DeviceWorker) -> None:
+    def _run(self, index: int, take, done) -> None:
+        worker = self.workers[index]
         while True:
-            batch = self._take(worker)
+            batch = take(index)
             if batch is None:
                 return
             try:
+                # through the instance attribute, so a wrapped execute
+                # (benchmark probes) sees every batch
                 outcome = worker.execute(batch)
             except Exception as exc:  # worker-level fault: fail the batch
                 outcome = BatchOutcome(
@@ -532,18 +304,4 @@ class WorkerPool:
                     service_wall_s=0.0,
                     worker_fault=exc,
                 )
-            breaker = self.breakers.get(worker.name)
-            if breaker is not None:
-                if outcome.worker_fault is not None:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-            if self.on_batch is not None:
-                self.on_batch(outcome)
-            with self._idle:
-                counted = self._counted.pop(batch.batch_id, None)
-                if counted is not None:
-                    name, estimate = counted
-                    self._pending_seconds[name] -= estimate
-                self._inflight -= 1
-                self._idle.notify_all()
+            done(index, outcome)

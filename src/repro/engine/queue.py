@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Hashable
+from typing import Callable
 
 from repro.core.stream import FifoStats
 from repro.engine.jobs import Job
@@ -31,17 +31,15 @@ __all__ = [
 ]
 
 
-def take_batch(
-    items: deque, max_size: int, now: float, key: Hashable | None = None
-) -> tuple[list, list]:
+def take_batch(items: deque, max_size: int, now: float) -> tuple[list, list]:
     """Pop up to ``max_size`` items sharing one batch key; the batch rule.
 
-    The serving form of §III-E buffer combining, shared by the live
-    queue (:meth:`BoundedJobQueue.get_batch`) and the virtual tier's
-    shards (:mod:`repro.serve.loadgen`).  Items are scanned in FIFO
-    order.  An item whose ``expired(now)`` is true is popped into the
-    second list: it never fixes the key and never takes a slot.  The
-    first live item fixes the key unless ``key`` is given; items with a
+    The serving form of §III-E buffer combining, applied by
+    :class:`~repro.engine.shard.ShardCore` when a worker takes a batch,
+    in the live engine and in the virtual tier's shards alike.  Items
+    are scanned in FIFO order.  An item whose ``expired(now)`` is true
+    is popped into the second list: it never fixes the key and never
+    takes a slot.  The first live item fixes the key; items with a
     different key go back to the front of ``items`` in their original
     order (an expired one among them waits for a scan that reaches it).
     Returns ``(batch, expired)``.
@@ -49,14 +47,15 @@ def take_batch(
     batch: list = []
     expired: list = []
     kept: list = []
+    key = None
     while items and len(batch) < max_size:
         item = items.popleft()
-        if key is not None and item.batch_key() != key:
+        if batch and item.batch_key() != key:
             kept.append(item)
         elif item.expired(now):
             expired.append(item)
         else:
-            if key is None:
+            if not batch:
                 key = item.batch_key()
             batch.append(item)
     items.extendleft(reversed(kept))
@@ -212,14 +211,16 @@ class BoundedJobQueue:
             if len(self._fifo) > self.high_water:
                 self.high_water = len(self._fifo)
             self._emit_occupancy()
-            self._not_empty.notify()
+            # every waiter re-decides: a worker may wait for a batch it
+            # is not the one to take
+            self._not_empty.notify_all()
 
     def close(self) -> None:
         """Stop admitting; pending jobs remain readable (graceful drain).
 
         Both conditions are notified so that producers blocked in
-        :meth:`put` raise :class:`JobQueueClosed` promptly and
-        consumers blocked in :meth:`get_batch` return immediately —
+        :meth:`put` raise :class:`JobQueueClosed` promptly and every
+        consumer blocked in :meth:`wait` re-runs its ``pick`` at once —
         nobody hangs until their timeout.
         """
         with self._lock:
@@ -229,11 +230,55 @@ class BoundedJobQueue:
 
     # -- consumer side ----------------------------------------------------------
 
-    def get_batch(
+    def wait(
         self,
-        max_size: int = 1,
+        pick: Callable[[deque, float, bool], tuple[object, float | None]],
         timeout: float | None = None,
-        key: Hashable | None = None,
+    ):
+        """Run ``pick`` under the queue lock until it returns a value.
+
+        ``pick(fifo, now, closed)`` reads, and may pop, the FIFO deque
+        itself at ``now = time.monotonic()`` and returns ``(value,
+        wake_at)``.  A value other than None ends the wait and is
+        returned; every other waiter is woken, since what it decided on
+        may have changed.  Otherwise the caller sleeps until a put, a
+        close or another waiter's value wakes it, until ``wake_at``, or
+        until ``timeout`` runs out (then None).  Each wakeup re-runs
+        ``pick``, and ``timeout`` is one monotonic deadline that
+        wakeups do not restart.  This is the one wait of the queue's
+        consumers: the engine's workers take their batches through it
+        (see :class:`~repro.engine.shard.ShardCore`).
+
+        The jobs ``pick`` pops count as reads and free space for
+        blocked submitters; a wait that found nothing at first is
+        tallied as one read stall, mirroring ``Stream.can_read``.
+        """
+        with self._not_empty:
+            deadline = None if timeout is None else time.monotonic() + timeout
+            stalled = False
+            while True:
+                now = time.monotonic()
+                before = len(self._fifo)
+                value, wake_at = pick(self._fifo, now, self._closed)
+                taken = before - len(self._fifo)
+                if taken:
+                    self.total_reads += taken
+                    self._emit_occupancy()
+                    self._not_full.notify_all()
+                if value is not None:
+                    self._not_empty.notify_all()
+                    return value
+                if not stalled:
+                    stalled = True
+                    self.read_stalls += 1
+                if deadline is not None:
+                    if now >= deadline:
+                        return None
+                    wake_at = deadline if wake_at is None else min(wake_at, deadline)
+                self._not_empty.wait(None if wake_at is None else wake_at - now)
+
+    def get_batch(
+        self, max_size: int = 1, timeout: float | None = None
     ) -> tuple[list[Job], list[Job]]:
         """Pop a batch of *compatible* jobs (equal :meth:`Job.batch_key`).
 
@@ -241,42 +286,17 @@ class BoundedJobQueue:
         its ``(batch, expired)``: up to ``max_size`` live jobs sharing
         one key, in FIFO order — the serving analogue of §III-E
         device-level buffer combining — plus the deadline-expired jobs
-        the scan popped, which the caller sheds.  With ``key`` only
-        jobs of that key are taken (the linger path: top up an open
-        batch without disturbing other work).
+        the scan popped, which the caller sheds.
 
-        Waits up to ``timeout`` for something to take.  Returns
-        ``([], [])`` once the queue is closed and drained, or when the
-        timeout elapses (an empty poll is tallied as a read stall,
-        mirroring ``Stream.can_read``).
+        Waits (:meth:`wait`) up to ``timeout`` for something to take.
+        Returns ``([], [])`` once the queue is closed and drained, or
+        when the timeout elapses.
         """
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
-        with self._not_empty:
-            batch, expired = take_batch(
-                self._fifo, max_size, time.monotonic(), key
-            )
-            if not (batch or expired or self._closed):
-                self.read_stalls += 1
-                # monotonic deadline (the same pattern as put): each
-                # spurious wakeup, or one for a job of another key,
-                # resumes the *remaining* wait instead of restarting
-                # the full timeout or returning a premature empty poll
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                while not (batch or expired or self._closed):
-                    remaining = (
-                        None if deadline is None else deadline - time.monotonic()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        break
-                    self._not_empty.wait(remaining)
-                    batch, expired = take_batch(
-                        self._fifo, max_size, time.monotonic(), key
-                    )
-            if batch or expired:
-                self.total_reads += len(batch) + len(expired)
-                self._emit_occupancy()
-                self._not_full.notify_all()
-            return batch, expired
+
+        def pick(fifo, now, closed):
+            batch, expired = take_batch(fifo, max_size, now)
+            return ((batch, expired) if batch or expired or closed else None), None
+
+        return self.wait(pick, timeout) or ([], [])

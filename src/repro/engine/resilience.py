@@ -17,11 +17,12 @@ chaos runs reproduce:
   for retryable (worker-level) failures; the delay is a pure function
   of ``(attempt, key)``, testable without sleeping.
 * :class:`CircuitBreaker` — the classic closed/open/half-open state
-  machine, one per worker, consulted at dispatch and at shared-queue
-  pickup so a flapping device degrades pool capacity gracefully
-  instead of black-holing batches.
-* :class:`TimerThread` — one background thread running deadline-expiry
-  and retry-redispatch callbacks at monotonic due times.
+  machine, one per worker: an opened breaker fences its worker from
+  pickup until the cooldown ends (see
+  :class:`~repro.engine.shard.ShardCore`), so a flapping device
+  degrades pool capacity gracefully instead of black-holing batches.
+* :class:`TimerThread` — one background thread running the deadline
+  watchdog's callbacks at monotonic due times.
 
 Typed errors extend the :class:`~repro.engine.queue.EngineError`
 family: :class:`JobDeadlineExceeded` (the job's end-to-end deadline
@@ -536,9 +537,9 @@ class FaultPlan:
 class TimerThread:
     """One background thread running callbacks at monotonic due times.
 
-    The engine uses a single instance for both deadline expiry ("fail
-    this handle if it is still pending at T") and retry re-dispatch
-    ("hand the surviving jobs back to the pool after the backoff").
+    The engine uses one instance as its deadline watchdog ("fail this
+    handle if it is still pending at T"); a retry's backoff is a
+    worker's timed wait on the admission queue, not a timer.
     Callbacks run outside the timer lock; an exception in one is
     counted (``errors``) but never kills the thread.
     """

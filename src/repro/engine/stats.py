@@ -1,10 +1,11 @@
-"""Engine accounting: per-job latency records and the aggregate report.
+"""Engine accounting: the aggregate report of one engine.
 
-Every completed job contributes one :class:`JobRecord` (queue wait,
-service, total latency, batch occupancy, worker, modeled device time);
-:class:`EngineStats` aggregates them together with the bounded queue's
+:class:`EngineStats` summarizes the engine's bounded metrics (queue
+wait, service and total latency histograms, batch counts and
+occupancy) together with the bounded queue's
 :class:`repro.core.FifoStats` snapshot and each worker's simulated
-device timeline.  Throughput comes in two flavours:
+device timeline; nothing in it grows with the number of jobs served.
+Throughput comes in two flavours:
 
 * **wall throughput** — jobs per real second, what a load generator
   observes;
@@ -21,21 +22,7 @@ from dataclasses import asdict, dataclass, field
 from repro.core.stream import FifoStats
 from repro.obs.percentiles import summarize as _summarize
 
-__all__ = ["JobRecord", "WorkerStats", "EngineStats", "summarize"]
-
-
-@dataclass(frozen=True)
-class JobRecord:
-    """Latency/accounting record of one completed job."""
-
-    job_id: int
-    worker: str
-    batch_id: int
-    batch_size: int
-    queue_wait_s: float
-    service_s: float
-    total_s: float
-    device_seconds: float
+__all__ = ["WorkerStats", "EngineStats", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +45,7 @@ class EngineStats:
     batches: int
     mean_batch_occupancy: float
     max_batch_occupancy: int
-    queue_wait_s: dict[str, float]  # mean/p50/p95/p99/max over jobs
+    queue_wait_s: dict[str, float]  # count/mean/p50/p95/p99/max over jobs
     service_s: dict[str, float]
     total_s: dict[str, float]
     wall_seconds: float
@@ -70,7 +57,6 @@ class EngineStats:
     breakers: dict = field(default_factory=dict)  # worker -> breaker snapshot
     faults_injected: dict = field(default_factory=dict)  # mode -> count
     workers: list[WorkerStats] = field(default_factory=list)
-    records: list[JobRecord] = field(default_factory=list)
     #: slowest-K completed jobs with their trace ids (traced runs only):
     #: [{total_s, job_id, trace_id, worker, batch_id}], slowest first —
     #: the debuggable handle behind a BENCH p99 row
@@ -93,13 +79,9 @@ class EngineStats:
             return 0.0
         return self.jobs_completed / self.modeled_makespan_s
 
-    def to_dict(self, include_records: bool = False) -> dict:
-        """Plain-dict form for ``--json`` output and trace/metrics sinks.
-
-        Per-job records are omitted unless asked for — they dominate the
-        payload size and most consumers only want the aggregates.
-        """
-        out = {
+    def to_dict(self) -> dict:
+        """Plain-dict form for ``--json`` output and trace/metrics sinks."""
+        return {
             "jobs_completed": self.jobs_completed,
             "jobs_shed": self.jobs_shed,
             "batches": self.batches,
@@ -122,9 +104,6 @@ class EngineStats:
             "latency_exemplars": [dict(e) for e in self.latency_exemplars],
             "trace_sampling": self.trace_sampling,
         }
-        if include_records:
-            out["records"] = [asdict(r) for r in self.records]
-        return out
 
     def render(self) -> str:
         lines = [

@@ -1,12 +1,12 @@
 """Metrics primitives: counters, gauges and histograms under one registry.
 
-The serving layers (engine, queue, batcher) count what happened —
+The serving layers (engine, queue, workers) count what happened —
 admissions, sheds, backpressure stalls — and observe latency series;
 a :class:`MetricsRegistry` owns them by name so a whole subsystem can be
 snapshotted into one plain dict for ``--json`` output or assertions.
 
-All primitives are thread-safe (the engine increments from worker and
-dispatcher threads) and cheap: an uncontended lock plus an add.  The
+All primitives are thread-safe (the engine increments from submitter,
+worker and watchdog threads) and cheap: an uncontended lock plus an add.  The
 histogram snapshot reuses :func:`repro.obs.percentiles.summarize`, the
 same estimator the engine's latency report uses, so a histogram's "p95"
 and ``EngineStats``'s "p95" are directly comparable.

@@ -101,8 +101,8 @@ class TraceContext:
     deadline budget) and a reference to the owning
     :class:`RequestTraceLog`, so instrumentation points only need the
     context — ``job.trace.emit(...)`` — without any registry lookup.
-    Thread-safe: the live engine emits from gateway, dispatcher,
-    worker and watchdog threads.
+    Thread-safe: the live engine emits from gateway, worker and
+    watchdog threads.
     """
 
     __slots__ = (

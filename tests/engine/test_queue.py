@@ -19,6 +19,21 @@ def _job(seed=1, variance=1.39):
     return GammaJob(n_samples=8, seed=seed, variance=variance)
 
 
+def _taking(key):
+    """A ``wait`` pick that takes the first job of ``key`` and nothing
+    else, as a worker takes only the batch it is picked for; it gives
+    up with ``"closed"`` once the queue closes."""
+
+    def pick(fifo, now, closed):
+        for job in fifo:
+            if job.batch_key() == key:
+                fifo.remove(job)
+                return job, None
+        return ("closed" if closed else None), None
+
+    return pick
+
+
 class TestAdmission:
     def test_depth_validation(self):
         with pytest.raises(ValueError, match="depth"):
@@ -122,14 +137,14 @@ class TestBatchDrain:
         assert q.get_batch(1) == ([job], [])
         assert q.get_batch(1, timeout=0.01) == ([], [])
 
-    def test_get_batch_with_key_skips_other_keys(self):
+    def test_wait_takes_only_what_its_pick_takes(self):
         q = BoundedJobQueue(depth=8)
         a = _job(1, variance=1.39)
         b = _job(2, variance=0.35)
         q.put(a)
         q.put(b)
-        got = q.get_batch(max_size=2, timeout=0.01, key=b.batch_key())
-        assert got == ([b], [])
+        assert q.wait(_taking(b.batch_key()), timeout=0.01) is b
+        assert q.stats.total_reads == 1
         assert q.get_batch(1) == ([a], [])  # untouched, order preserved
 
     def test_expired_jobs_return_separately_and_count_as_reads(self):
@@ -148,17 +163,16 @@ class TestWaitDeadlines:
     holds one monotonic deadline across wakeups instead of restarting
     (or abandoning) its timeout on each one."""
 
-    def test_keyed_get_batch_waits_through_non_matching_puts(self):
-        # a single-wait keyed read would return empty as soon as ANY
-        # put woke it, even one with the wrong key — a reader asking
-        # for key B must keep waiting until B arrives or time runs out
+    def test_wait_outlasts_puts_its_pick_does_not_take(self):
+        # a single-wait read would return empty as soon as ANY put woke
+        # it, even one another worker takes — a worker waiting for
+        # key B must keep waiting until B arrives or time runs out
         q = BoundedJobQueue(depth=8)
         b = _job(9, variance=0.35)
         got = []
 
         def reader():
-            batch, _ = q.get_batch(1, timeout=2.0, key=b.batch_key())
-            got.extend(batch)
+            got.append(q.wait(_taking(b.batch_key()), timeout=2.0))
 
         t = threading.Thread(target=reader, daemon=True)
         t.start()
@@ -235,7 +249,7 @@ class TestWaitDeadlines:
 
     def test_close_wakes_both_producers_and_consumers(self):
         # a producer blocked on a full queue (waits on not_full) and a
-        # consumer blocked on a key that never arrives (waits on
+        # worker waiting for a key that never arrives (waits on
         # not_empty) must BOTH wake promptly when close() fires — it
         # has to notify both conditions
         q = BoundedJobQueue(depth=1)
@@ -251,7 +265,7 @@ class TestWaitDeadlines:
 
         def consumer():
             outcomes.append(
-                ("consumer", q.get_batch(1, timeout=10.0, key=absent_key))
+                ("consumer", q.wait(_taking(absent_key), timeout=10.0))
             )
 
         threads = [
@@ -268,7 +282,7 @@ class TestWaitDeadlines:
         assert time.monotonic() - t0 < 1.0  # woken by close, not timeout
         assert not any(t.is_alive() for t in threads)
         assert "producer-closed" in outcomes
-        assert ("consumer", ([], [])) in outcomes
+        assert ("consumer", "closed") in outcomes
 
 
 class TestSharedFifoAccounting:

@@ -364,7 +364,10 @@ class TestDeadlines:
                 doomed.result(30.0)
         stats = eng.stats()
         assert stats.jobs_completed == 1  # only the blocker ran
-        assert all(r.job_id != doomed.job.job_id for r in stats.records)
+        # the doomed job resolved with the deadline error and no result,
+        # and no worker ever picked it up
+        assert isinstance(doomed.error, JobDeadlineExceeded)
+        assert doomed.picked_up_at is None
 
 
 class TestRetriesEndToEnd:
@@ -444,6 +447,27 @@ class TestRetriesEndToEnd:
         first = retry_delays()
         assert first
         assert retry_delays() == first
+
+    def test_graceful_shutdown_runs_a_pending_retry(self):
+        # the first attempt fails and its retry backs off; a graceful
+        # shutdown runs the retry instead of waiting out its drain
+        # timeout and then abandoning the job
+        plan = FaultPlan([FaultRule(scope="batch", mode="fail")])
+        eng = ExecutionEngine(
+            n_workers=1,
+            faults=plan,
+            retry=RetryPolicy(max_attempts=2, base_s=0.2, jitter=0.0),
+            breakers=False,
+        ).start()
+        handle = eng.submit(GammaJob(n_samples=16, seed=1))
+        deadline = time.monotonic() + 10.0
+        while eng.stats().retries == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        t0 = time.monotonic()
+        eng.shutdown(drain=True, timeout=10.0)
+        assert time.monotonic() - t0 < 5.0
+        assert isinstance(handle.error, InjectedFault)
+        assert plan.injected["fail"] == 2
 
     def test_retries_disabled_with_single_attempt(self):
         plan = FaultPlan([FaultRule(scope="batch", mode="fail")])

@@ -6,10 +6,6 @@ dropped at once, as the engine does after resolving the jobs.  The
 traced-heap growth between batch 10 and batch 60 must stay under
 4 KB per batch: a worker that kept a result buffer or a readback copy
 per batch would grow by hundreds of KB per batch.
-
-Known remaining per-job growth, deliberately outside this test:
-``ExecutionEngine._records`` keeps one ``JobRecord`` per completed job,
-because ``EngineStats.records`` is public API.
 """
 
 import gc

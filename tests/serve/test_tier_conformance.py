@@ -1,15 +1,18 @@
 """The virtual tier answers to the live one.
 
 Every recorded serving number comes from the virtual-time tier
-(:func:`repro.serve.loadgen.simulate_tier`).  Both tiers form batches
-with :func:`repro.engine.queue.take_batch`, price them with
-:func:`repro.engine.pool.batch_service_seconds` and inject faults
-through one :class:`~repro.engine.FaultPlan`, retried under the default
-``RetryPolicy`` with one default ``CircuitBreaker`` per worker; these
-tests pin that the two then agree on the same seeded traffic:
+(:func:`repro.serve.loadgen.simulate_tier`).  Both tiers schedule each
+shard with one :class:`~repro.engine.ShardCore` (batches form with
+:func:`repro.engine.queue.take_batch` when a worker takes them), price
+batches with :func:`repro.engine.pool.batch_service_seconds` and inject
+faults through one :class:`~repro.engine.FaultPlan`, retried under the
+default ``RetryPolicy`` with one default ``CircuitBreaker`` per worker;
+these tests pin that the two then agree on the same seeded traffic:
 
 * (a) the batch rule: the same queued jobs, about 30 % of them already
-  expired, form the same batch sequence and shed the same jobs;
+  expired, form the same batch sequence and shed the same jobs; and
+  jobs that arrive while a ``latency`` fault holds every worker join
+  the same batches in both tiers;
 * (b) routing and outcome: at low load every job lands on the same
   shard and completes in both tiers;
 * (c) billing: on (a)'s queues, with and without a fault plan, each
@@ -35,11 +38,10 @@ import pytest
 
 from repro.engine import (
     Batch,
-    Batcher,
-    BoundedJobQueue,
     CircuitBreaker,
     DeviceWorker,
     EngineError,
+    ExecutionEngine,
     FaultPlan,
     FaultRule,
     InjectedFault,
@@ -78,9 +80,23 @@ def _queued_trace(seed: int, n_events: int = 120) -> list:
     return [dataclasses.replace(e, t=0.0) for e in generate_trace(spec)]
 
 
+def _recording(worker, index, batches):
+    """Wrap ``worker.execute`` to record each batch's event indices."""
+    execute = worker.execute
+
+    def recorded(batch):
+        batches.append([index[job.job_id] for job in batch.jobs])
+        return execute(batch)
+
+    worker.execute = recorded
+
+
 def _live_batches(trace):
-    """Batch sequence and shed set of the live queue + batcher."""
-    queue = BoundedJobQueue(depth=len(trace))
+    """Batch sequence and shed set of a live one-worker engine whose
+    worker takes its batches from the filled, closed queue."""
+    engine = ExecutionEngine(
+        n_workers=1, queue_depth=len(trace), max_batch=MAX_BATCH
+    )
     index = {}
     past = time.monotonic() - 1.0
     for event in trace:
@@ -88,16 +104,15 @@ def _live_batches(trace):
         if event.deadline_s is not None:
             job.deadline_at = past
         index[job.job_id] = event.index
-        queue.put(job)
-    queue.close()
-    shed = []
-    batcher = Batcher(queue, max_batch=MAX_BATCH, on_expired=shed.append)
-    batches = []
-    while len(queue):
-        batch = batcher.next_batch(timeout=0.0)
-        if batch is not None:
-            batches.append([index[job.job_id] for job in batch.jobs])
-    return batches, sorted(index[job.job_id] for job in shed)
+        engine.queue.put(job)
+    engine.queue.close()
+    batches, shed = [], []
+    engine._expire_job = lambda job: shed.append(index[job.job_id])
+    _recording(engine.pool.workers[0], index, batches)
+    engine.start()
+    engine.pool.join(60.0)  # the worker ends once the queue is empty
+    engine.shutdown()
+    return batches, sorted(shed)
 
 
 def _fail_plan(seed: int) -> FaultPlan:
@@ -129,9 +144,9 @@ def _virtual_run(trace, workers=1, faults=None, max_batch=MAX_BATCH):
     return report, chains
 
 
-def _virtual_batches(trace):
+def _virtual_batches(trace, **run):
     """The same, read from the virtual tier's request-trace spans."""
-    _, chains = _virtual_run(trace)
+    _, chains = _virtual_run(trace, **run)
     members: dict[int, list[int]] = {}
     shed = []
     for index, spans in chains.items():
@@ -152,6 +167,56 @@ def test_batch_rule_matches_live_and_virtual(seed):
     virtual_batches, virtual_shed = _virtual_batches(trace)
     assert live_batches == virtual_batches
     assert live_shed == virtual_shed == expired
+
+
+#: every batch holds its worker this long: the arrivals below fall
+#: well inside a hold, so host jitter cannot reorder them
+HOLD_S = 0.2
+ARRIVALS = {
+    # one worker: job 0 holds it while 1-3 arrive, keys k1, k2, k1;
+    # the batch forms when the worker frees, so 3 joins 1
+    "one worker": (1, [(0.0, 0.35), (0.05, 1.39), (0.06, 0.35), (0.07, 1.39)]),
+    # two workers, both held while 2-5 arrive over both keys
+    "two workers": (2, [
+        (0.0, 0.35), (0.01, 1.39), (0.05, 0.35), (0.06, 1.39),
+        (0.07, 0.35), (0.08, 1.39),
+    ]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ARRIVALS))
+def test_arrivals_join_the_batch_a_freed_worker_forms(shape):
+    workers, arrivals = ARRIVALS[shape]
+    trace = [
+        TraceEvent(
+            index=i, t=t, tenant=1, config="Config1", variance=variance,
+            n_samples=2048, seed=i,
+        )
+        for i, (t, variance) in enumerate(arrivals)
+    ]
+    plan = FaultPlan(
+        [FaultRule(scope="batch", mode="latency", latency_s=HOLD_S)]
+    )
+    virtual, _ = _virtual_batches(trace, workers=workers, faults=plan)
+    live, index = [], {}
+    with ShardedEngine(
+        n_shards=1, n_workers=workers, queue_depth=len(trace),
+        max_batch=MAX_BATCH, faults=plan,
+    ) as tier:
+        for worker in tier.shards["shard0"].pool.workers:
+            _recording(worker, index, live)
+        t0 = time.monotonic()
+        handles = []
+        for event in trace:
+            time.sleep(max(0.0, t0 + event.t - time.monotonic()))
+            job = job_from_event(event)
+            index[job.job_id] = event.index
+            handles.append(tier.submit(job))
+        for handle in handles:
+            handle.result(timeout=30.0)
+    assert sorted(sorted(b) for b in live) == sorted(virtual)
+    if shape == "one worker":
+        assert virtual == [[0], [1, 3], [2]]
 
 
 def _execute_spans(chains, worker=None):
