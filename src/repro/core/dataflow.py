@@ -26,17 +26,18 @@ between cycles, is not ``None``.  A parked process leaves the awake
 list until the cycle its hint names (a timer heap) or, for
 ``NO_SELF_EVENT``, until the next ``write``, ``read`` or ``close`` on
 one of its streams; a loop cycle visits only awake processes, and on
-waking ``skip_cycles`` credits the slept cycles.  Each work-item chain
-(a source, its stream and its Transfer engine) is fused into one
-calendar entry that steps from one burst submission to the next in
-closed form (:mod:`repro.core.chain`), so its processes are not ticked
-at all.  The channels are not ticked either: each keeps its own clock
-and is advanced with ``skip_cycles`` only past its grants and
-completions.  When every live process is parked the loop jumps
-straight to the earliest timer or channel event.  Traced runs (tracer
+waking ``skip_cycles`` credits the slept cycles.  Each work-item (a
+source, its stream, a pricing tee if any and its Transfer engines) is
+fused into a tree that steps from one burst submission to the next in
+closed form, with one calendar entry per engine
+(:mod:`repro.core.chain`), so its processes are not ticked at all.  The
+channels are not ticked either: each keeps its own clock and is
+advanced with ``skip_cycles`` only past its grants and completions.
+When every live process is parked the loop jumps straight to the
+earliest timer or channel event.  Traced runs (tracer
 or explicit attribution) take the same calendar: a parked process's
 stall class holds for its whole sleep, so it is recorded as one
-interval, and a fused chain's class changes are recorded at their own
+interval, and a fused tree's class changes are recorded at their own
 cycles.  Reports and traces are identical to the reference loop's
 (``docs/simulator_fastpath.md``).
 """
@@ -50,7 +51,7 @@ from operator import attrgetter
 
 import networkx as nx
 
-from repro.core.chain import FusedChain, fuse_chains
+from repro.core.chain import TreeLeaf, fuse_chains
 from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
 from repro.obs import get_tracer
@@ -291,7 +292,7 @@ def run_cycles(
     here), so the count survives an abort.
 
     ``fast`` runs :func:`_run_parked`, a wake calendar that ticks only
-    awake processes, steps fused work-item chains from one burst
+    awake processes, steps fused work-item trees from one burst
     submission to the next, and advances each channel only past its
     grants and completions.  ``fast=False`` ticks every live process
     and every channel every cycle: the reference the differential
@@ -359,7 +360,7 @@ class _Calendar:
     is a heap of ``(wake cycle, topological index, sleeper)`` over the
     timer parks, plus an ``inf`` sentinel that sorts after every real
     entry, so ``timers[0]`` always exists.  ``fused`` counts the live
-    fused chains (:mod:`repro.core.chain`), which make progress between
+    fused trees (:mod:`repro.core.chain`), which make progress between
     their wakes.
     """
 
@@ -428,6 +429,14 @@ class _Sleeper:
         else:
             heappush(self.calendar.timers, (until, self.index, self))
 
+    def rearm(self, until: float) -> None:
+        """Put an entry parked on no stream onto the timer heap at
+        ``until``: a fused tree's leaf whose next wake a wake of another
+        leaf worked out."""
+        if self.since is not None and self.until == NO_SELF_EVENT != until:
+            self.until = until
+            heappush(self.calendar.timers, (until, self.index, self))
+
     def resume(self, cycle: int) -> None:
         """Credit the slept cycles ``[since, cycle)`` and wake up."""
         if cycle > self.since:
@@ -473,14 +482,16 @@ def _run_parked(
     Whether a channel is busy is read only on a cycle without process
     progress, the deadlock test.
 
-    Each fused chain (:func:`~repro.core.chain.fuse_chains`) is one
-    more calendar entry at its engine's topological index: it parks on
-    the timer heap from one burst submission to the next and is worked
-    out in closed form in between, and a live one counts as progress.
+    Each fused tree (:func:`~repro.core.chain.fuse_chains`) adds one
+    calendar entry per engine, a :class:`~repro.core.chain.TreeLeaf` at
+    that engine's topological index: it parks on the timer heap until
+    its engine's next burst submission, so each submission reaches its
+    channel at its own position in the cycle, and the tree is worked out
+    in closed form in between; a live tree counts as progress.
 
     With an ``attribution`` each cycle records only what may have
     changed (:func:`_record_parked`), so a sleep is one interval; the
-    chains' class changes (``marks``) are recorded at their own cycles
+    trees' class changes (``marks``) are recorded at their own cycles
     as the loop passes them (:func:`_record`).
     """
     traced = attribution is not None
@@ -490,8 +501,8 @@ def _run_parked(
         channel.rewind()
     calendar = _Calendar()
     marks: list | None = [] if traced else None
-    chains = fuse_chains(ordered, channels, calendar, max_cycles, marks)
-    fused = {id(p) for c in chains for p in (c.producer, c.engine)}
+    trees = fuse_chains(ordered, channels, calendar, max_cycles, marks)
+    fused = {id(p) for tree in trees for p in tree.processes}
     sleepers = [
         _Sleeper(p, i, calendar)
         for i, p in enumerate(ordered)
@@ -499,13 +510,14 @@ def _run_parked(
     ]
     awake = calendar.awake  # mutated in place: wake_now inserts into it
     awake += sleepers
-    if chains:
-        calendar.fused = len(chains)
-        for chain in chains:
-            chain.start()
-            entry = _Sleeper(chain, chain.index, calendar)
-            entry.park(0, chain.wake)
-            sleepers.append(entry)
+    if trees:
+        calendar.fused = len(trees)
+        for tree in trees:
+            tree.start()
+            for leaf in tree.leaves:
+                entry = leaf.entry = _Sleeper(leaf, leaf.index, calendar)
+                entry.park(0, leaf.wake)
+                sleepers.append(entry)
         sleepers.sort(key=_INDEX)
     later, timers = calendar.later, calendar.timers
     stalled: list[_Sleeper] = []  # ticked without progress this cycle
@@ -527,7 +539,7 @@ def _run_parked(
                 if s.since is not None:
                     s.resume(cycle)
                 proc = s.proc
-                if traced and type(proc) is not FusedChain:
+                if traced and type(proc) is not TreeLeaf:
                     ticked.append((s, _sample(proc)))
                 if proc.tick(cycle):
                     progressed = True
@@ -569,8 +581,8 @@ def _run_parked(
                     proc = s.proc
                     if not proc.done():
                         kept.append(s)
-                    elif type(proc) is FusedChain:
-                        done_at.update(proc.done_cycles)  # it marks its own
+                    elif type(proc) is TreeLeaf:
+                        done_at.update(proc.tree.done_cycles)  # it marks its own
                     else:
                         done_at[proc.name] = cycle
                         newly[proc.name] = (s.index, _stall.DONE)
@@ -606,7 +618,7 @@ def _run_parked(
                     if span > 0:
                         end = cycle + span
                         if traced and any(ch.due == cycle for ch in channels):
-                            # a fused chain does not wake when its burst
+                            # a fused tree does not wake when its burst
                             # completes, so the next queued burst can be
                             # granted on the jump's first cycle
                             for channel in channels:
@@ -632,6 +644,8 @@ def _run_parked(
         if traced:
             _record(attribution, marks, cycle, 0, {}, None)
             attribution.close(cycle)
+        for tree in trees:
+            tree.unlink()
     return cycle, done_at
 
 
@@ -643,14 +657,17 @@ def _catch_up(channels, cycle: int) -> None:
 
 
 def _abort(sleepers: list[_Sleeper], channels, end: int) -> None:
-    """Credit every parked process, settle every fused chain and catch
+    """Credit every parked process, settle every fused tree and catch
     the channels up to ``end`` before an abort, as the reference loop
     ticked them through it."""
+    trees = {}
     for s in sleepers:
         if s.since is not None:
             s.resume(end)
-        if type(s.proc) is FusedChain:
-            s.proc.settle(end)
+        if type(s.proc) is TreeLeaf:
+            trees[id(s.proc.tree)] = s.proc.tree
+    for tree in trees.values():
+        tree.settle(end)
     _catch_up(channels, end)
 
 
@@ -745,7 +762,7 @@ def _record_parked(
     class of its last stalled tick, or is ``transfer`` while its burst
     drains.  A jump passes no ticks: it grants no burst, since a grant
     follows a completion whose owner wakes the next cycle.  A fused
-    chain's processes are not sleepers: their ``marks`` go in through
+    tree's processes are not sleepers: their ``marks`` go in through
     :func:`_record`.
     """
     now = _owners(channels)
@@ -779,7 +796,7 @@ def _record(
     busy,
 ) -> None:
     """Record ``states`` (name → (topological index, class)) at
-    ``cycle``, merged with the fused chains' ``marks``.
+    ``cycle``, merged with the fused trees' ``marks``.
 
     Within a cycle the reference loop records the processes that
     finished the cycle before (``group`` 0, as ``done``) and then the

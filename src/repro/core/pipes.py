@@ -30,9 +30,10 @@ and a channel shared by two regions is one port with cross-region FIFO
 arbitration.  The reference loop ticks it exactly once per cycle; the
 fast loop never ticks it, and advances it once past each of its grants
 and completions, whichever region's engine owns the burst.  A
-work-item chain whose stream is a pipe, a source in one region and its
-Transfer engine in another, is fused like one inside a region
-(:mod:`repro.core.chain`).  The combined
+work-item whose streams are pipes is fused like one inside a region
+(:mod:`repro.core.chain`): a pricing work-item spans all three regions
+of :mod:`repro.core.pricing`, and each of its engines submits at its
+own region's position in the cycle.  The combined
 :class:`PipelineReport` rolls per-region reports, pipe stats and
 graph-indexed channel stats into one record.
 

@@ -40,6 +40,15 @@ Per work-item the stages are:
    a plain :class:`~repro.core.transfer.TransferEngine` in the pricing
    region archives the raw variates alongside.
 
+On the fast cycle loop each work-item — its gamma kernel, the pricer
+tee and both engines — is one fused tree (:mod:`repro.core.chain`),
+worked out in closed form between burst submissions, so a pipelined or
+fused run steps only its memory channels event by event.  The
+per-tick code and the fast-path hints of :class:`PricingProcess` and
+the engines serve the runs that do not fuse: the reference loop,
+sequential mode (no region holds a whole work-item) and subclasses
+that override ``tick``.
+
 Memory channels are assigned per region via
 :attr:`PricingPipelineConfig.channel_affinity`: with ``n_channels=1``
 both archival and aggregation traffic arbitrate on one port (the
@@ -152,7 +161,7 @@ class PricingProcess(Process):
         """The per-variate payoff (combinational in hardware terms)."""
         return self.discount * max(value - self.strike, 0.0)
 
-    # -- cycle-skipping fast path --------------------------------------------------
+    # -- cycle-skipping fast path (runs where the work-item does not fuse) -----------
 
     def next_event(self, cycle: int) -> int | float | None:
         if not self._hintable or self._done:

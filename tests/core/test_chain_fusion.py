@@ -1,8 +1,10 @@
-"""Differential suite: fused work-item chains against the reference loop.
+"""Differential suite: fused work-item trees against the reference loop.
 
-The fast loop fuses each ``source → stream → TransferEngine`` chain into
-one wake-calendar entry that is worked out in closed form between burst
-submissions (:mod:`repro.core.chain`).  Its contract is the fast path's:
+The fast loop fuses each ``source → stream → TransferEngine`` chain, and
+each pricing work-item ``source → stream → PricingProcess →
+{priced → AggregatingTransferEngine, raw → TransferEngine}``, into a tree
+that is worked out in closed form between burst submissions, with one
+wake-calendar entry per engine (:mod:`repro.core.chain`).  Its contract is the fast path's:
 the same simulation as the reference one-cycle-at-a-time loop.  Here
 hypothesis draws random chain regions — 1 to 6 work-items, stream depth
 1 to 16, ``burst_words`` 1 to 4, one or two channels, ``DummySource``
@@ -23,6 +25,14 @@ channel with an engine fed by ``Throttled``, a source that overrides
 ``tick`` (so it keeps per-tick stepping) and stalls on odd cycles: fused
 and per-tick submissions arbitrate on one channel, and the deadlock
 test must count a live chain as progress.
+
+Pricing trees get the same three-way comparison over the pipelined,
+fused one-region and sequential builds: 1 to 4 work-items, pipe and
+stream depths 1 to 16, one or two channels with each affinity, gamma
+and ``DummySource`` roots, a pricer quota off the engines' (its early
+close starves them) and ``limit_max`` caps, with every pricer's
+``_emitted``, ``_pending`` and ``_done`` and every aggregate's ``total``
+in the compared state.
 """
 
 from dataclasses import dataclass
@@ -36,6 +46,13 @@ from repro.core.kernel import TRANSFORMS, GammaKernelConfig, GammaRNGProcess
 from repro.core.lanes import gamma_process
 from repro.core.memory import GlobalMemory, MemoryChannel, MemoryChannelConfig
 from repro.core.pipes import MultiRegionRunner, Pipe, PipelineGraph
+from repro.core.pricing import (
+    AggregatingTransferEngine,
+    PricingPipelineConfig,
+    PricingProcess,
+    build_fused_pricing_region,
+    build_pricing_pipeline,
+)
 from repro.core.stream import Stream
 from repro.core.transfer import DummySource, TransferEngine
 from repro.obs import use_tracer
@@ -208,6 +225,14 @@ def process_state(proc) -> dict:
             offset=proc._offset,
             bursts=proc._burst_index,
             pending=None if pending is None else (pending.address, pending.done),
+        )
+        if isinstance(proc, AggregatingTransferEngine):
+            state.update(total=proc.total, folded=proc.values)
+    elif isinstance(proc, PricingProcess):
+        state.update(
+            emitted=proc._emitted,
+            pending=[(sink.name, value) for sink, value in proc._pending],
+            finished=proc._done,
         )
     elif isinstance(proc, GammaRNGProcess):
         state.update(
@@ -492,11 +517,14 @@ def chain_region(**engine_kwargs):
     return region, source, engine
 
 
+def fused_trees(ordered, channels) -> list:
+    """The processes of each tree the fast loop would fuse, by name."""
+    trees = fuse_chains(ordered, channels, _Calendar(), 100_000_000, None)
+    return [tuple(p.name for p in tree.processes) for tree in trees]
+
+
 def fused_pairs(region) -> list:
-    chains = fuse_chains(
-        region._validate(), region.memory_channels, _Calendar(), 100_000_000, None
-    )
-    return [(c.producer.name, c.engine.name) for c in chains]
+    return fused_trees(region._validate(), region.memory_channels)
 
 
 def test_stock_chain_fuses():
@@ -540,12 +568,6 @@ def test_overridden_tick_keeps_per_tick_stepping(side):
     assert fused_pairs(region) == []
 
 
-def test_producer_with_inputs_keeps_per_tick_stepping():
-    """A pricing stage reads a stream: pipelines keep per-tick stepping."""
-    from repro.core.pricing import PricingPipelineConfig, build_fused_pricing_region
-
-    build = build_fused_pricing_region(PricingPipelineConfig())
-    assert fused_pairs(build.region) == []
 
 
 def test_channel_outside_the_run_keeps_per_tick_stepping():
@@ -569,3 +591,400 @@ def test_engine_outside_the_run_keeps_per_tick_stepping():
     lone.add(region.processes[0])
     assert fused_pairs(lone) == []
     assert engine.stats.cycles == 0
+
+
+# ---------------------------------------------------------------------------
+# pricing trees
+# ---------------------------------------------------------------------------
+
+
+class OwnTick(PricingProcess):
+    """A pricer with its own ``tick``: its tree keeps per-tick stepping."""
+
+    def tick(self, cycle):
+        return super().tick(cycle)
+
+
+@dataclass(frozen=True)
+class TreeSpec:
+    """A pricing network laid out as :mod:`repro.core.pricing` builds it,
+    with any source per work-item (``Item`` kinds ``dummy``, ``lanes``,
+    ``scalar``)."""
+
+    mode: str  # "pipelined", "fused" or "sequential"
+    items: tuple[Item, ...]
+    pipe_depth: int
+    stream_depth: int
+    burst_words: int
+    bursts: int  # per sector
+    sectors: int
+    n_channels: int
+    affinity: tuple[int, int]  # (archive, aggregate) channel
+    setup_cycles: int
+    cycles_per_word: int
+    quota: int = 0  # the pricers' count off the engines' values
+    own_tick: tuple[int, ...] = ()  # work-items whose pricer is ``OwnTick``
+
+    @property
+    def per_item(self) -> int:
+        return 16 * self.burst_words * self.bursts * self.sectors
+
+    @property
+    def words(self) -> int:
+        return self.sectors * self.bursts * self.burst_words
+
+
+@st.composite
+def tree_specs(
+    draw,
+    modes=("pipelined", "fused", "sequential"),
+    kinds=("dummy", "lanes", "scalar"),
+    max_items=4,
+    whole=False,
+):
+    """Random pricing networks; ``whole`` ones have every source supply
+    the pricer's quota and every pricer the engines', so they run to
+    the end."""
+    burst_words = draw(st.integers(1, 4))
+    bursts = draw(st.integers(1, 3 if whole else 2))
+    sectors = draw(st.integers(1, 2))
+    limit_main = 16 * burst_words * bursts
+    items = []
+    for _ in range(draw(st.integers(1, max_items))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "dummy":
+            extra = 0 if whole else draw(st.sampled_from((0, 0, 0, -1, -17, 3)))
+            items.append(Item(kind, extra=extra))
+        else:
+            kernel = draw(gamma_kernels(limit_main, sectors))
+            if whole:
+                kernel = GammaKernelConfig(**{**vars(kernel), "limit_max": None})
+            items.append(Item(kind, kernel=kernel))
+    n_channels = draw(st.integers(1, 2))
+    channel = st.integers(0, n_channels - 1)
+    own_tick = draw(st.sets(st.integers(0, len(items) - 1), max_size=1))
+    return TreeSpec(
+        mode=draw(st.sampled_from(modes)),
+        items=tuple(items),
+        pipe_depth=draw(st.integers(1, 16)),
+        stream_depth=draw(st.integers(1, 16)),
+        burst_words=burst_words,
+        bursts=bursts,
+        sectors=sectors,
+        n_channels=n_channels,
+        affinity=(draw(channel), draw(channel)),
+        setup_cycles=draw(st.sampled_from((0, 1, 3, 80))),
+        cycles_per_word=draw(st.integers(1, 2)),
+        quota=0 if whole else draw(st.sampled_from((0, 0, 0, -5, 7))),
+        own_tick=tuple(sorted(own_tick)),
+    )
+
+
+def build_trees(spec: TreeSpec):
+    """(runner, processes, memory, channels) of ``spec``'s network: one
+    region in ``fused`` mode, else the ``rng``, ``pricing`` and
+    ``aggregation`` regions joined by pipes, as deep as every value
+    needs in ``sequential`` mode."""
+    n = len(spec.items)
+    memory = GlobalMemory(2 * n * spec.words)
+    config = MemoryChannelConfig(spec.setup_cycles, spec.cycles_per_word)
+    channels = [MemoryChannel(config, memory) for _ in range(spec.n_channels)]
+    archive_channel, aggregate_channel = (channels[i] for i in spec.affinity)
+    link = Stream if spec.mode == "fused" else Pipe
+    depth = spec.pipe_depth
+    if spec.mode == "sequential":
+        depth = max(depth, spec.per_item)
+    engine_args = dict(
+        burst_words=spec.burst_words,
+        bursts_per_sector=spec.bursts,
+        sectors=spec.sectors,
+        block_offset=spec.words,
+    )
+    sources, pricers, aggregates, archives = [], [], [], []
+    for wid, item in enumerate(spec.items):
+        gamma = link(f"gammaPipe{wid}", depth=depth)
+        priced = link(f"pricedPipe{wid}", depth=depth)
+        raw = Stream(f"rawStream{wid}", depth=spec.stream_depth)
+        if item.kind == "dummy":
+            count = max(0, spec.per_item + item.extra)
+            sources.append(DummySource(f"Source{wid}", gamma, count, value=wid + 1.5))
+        else:
+            sources.append(
+                gamma_process(
+                    f"GammaRNG{wid}", wid, item.kernel, gamma,
+                    lanes=item.kind == "lanes",
+                )
+            )
+        cls = OwnTick if wid in spec.own_tick else PricingProcess
+        pricers.append(
+            cls(f"Pricer{wid}", wid, gamma, priced, raw, count=spec.per_item + spec.quota)
+        )
+        aggregates.append(
+            AggregatingTransferEngine(
+                f"Aggregate{wid}", wid, priced, aggregate_channel, **engine_args
+            )
+        )
+        archives.append(
+            TransferEngine(f"Archive{wid}", n + wid, raw, archive_channel, **engine_args)
+        )
+    processes = sources + pricers + aggregates + archives
+    if spec.mode == "fused":
+        runner = DataflowRegion("pricing_fused")
+        for proc in processes:
+            runner.add(proc)
+        for channel in dict.fromkeys((archive_channel, aggregate_channel)):
+            runner.attach_memory_channel(channel)
+        return runner, processes, memory, channels
+    rng, pricing, aggregation = (
+        DataflowRegion(name) for name in ("rng", "pricing", "aggregation")
+    )
+    for source, pricer, aggregate, archive in zip(
+        sources, pricers, aggregates, archives
+    ):
+        rng.add(source)
+        pricing.add(pricer)
+        pricing.add(archive)
+        aggregation.add(aggregate)
+    pricing.attach_memory_channel(archive_channel)
+    aggregation.attach_memory_channel(aggregate_channel)
+    graph = PipelineGraph("pricing_trees")
+    for region in (rng, pricing, aggregation):
+        graph.add_region(region)
+    return MultiRegionRunner(graph), processes, memory, channels
+
+
+def run_trees(spec: TreeSpec, fast: bool, traced: bool, max_cycles: int):
+    """Run ``spec`` once; returns (outcome, snapshot, trace, skipped)."""
+    runner, processes, memory, channels = build_trees(spec)
+    log = log_bursts(channels)
+    tracer = ChromeTracer() if traced else NullTracer()
+    report = None
+    with use_tracer(tracer):
+        try:
+            if spec.mode == "fused":
+                report = runner.run(max_cycles=max_cycles, fast_path=fast)
+                outcome = report.cycles
+            else:
+                run = runner.run_sequential if spec.mode == "sequential" else runner.run
+                report = run(max_cycles=max_cycles, fast_path=fast)
+                outcome = (report.cycles, report.region_done_cycles, report.pipe_stats)
+        except RuntimeError as exc:  # DeadlockError or the runaway guard
+            outcome = (type(exc).__name__, str(exc))
+    trace = None
+    if traced:
+        stall = None if report is None else report.stall_report
+        trace = (None if stall is None else stall.to_dict(), cycle_spans(tracer))
+    snap = snapshot(processes, memory, channels, log)
+    return outcome, snap, trace, runner.skipped_cycles
+
+
+def assert_trees_three_ways(spec: TreeSpec, max_cycles: int) -> tuple:
+    """Fused untraced, fused traced and the traced reference agree."""
+    ref = run_trees(spec, fast=False, traced=True, max_cycles=max_cycles)
+    fused = run_trees(spec, fast=True, traced=False, max_cycles=max_cycles)
+    traced = run_trees(spec, fast=True, traced=True, max_cycles=max_cycles)
+    assert fused[0] == ref[0]
+    assert fused[1] == ref[1]
+    assert traced[:2] == fused[:2]
+    assert traced[2] == ref[2]  # stall report and cycle spans
+    assert traced[3] == fused[3]  # the same jumps, traced or not
+    return ref
+
+
+@settings(SUITE, max_examples=80)
+@given(spec=tree_specs(), max_cycles=max_cycles_draws)
+def test_random_pricing_trees_match_reference(spec, max_cycles):
+    assert_trees_three_ways(spec, max_cycles)
+
+
+@settings(SUITE, max_examples=40)
+@given(spec=tree_specs(whole=True))
+def test_whole_pricing_trees_match_reference(spec):
+    assert_trees_three_ways(spec, 100_000_000)
+
+
+@settings(SUITE, max_examples=20)
+@given(spec=tree_specs(modes=("pipelined", "fused"), kinds=("lanes", "scalar")))
+def test_capped_trees_close_early_like_the_reference(spec):
+    """A ``limit_max`` cap that ends a sector early closes the gamma
+    stream short: the pricer finishes on the drained stream and closes
+    both sinks, its engines starve, and both loops raise the same
+    ``DeadlockError`` with the same partial state (or finish alike)."""
+    capped = tuple(
+        Item(
+            item.kind,
+            kernel=GammaKernelConfig(
+                **{**vars(item.kernel), "limit_max": item.kernel.limit_main}
+            ),
+        )
+        for item in spec.items
+    )
+    spec = TreeSpec(**{**vars(spec), "items": capped, "quota": 0, "own_tick": ()})
+    assert_trees_three_ways(spec, 100_000_000)
+
+
+def dummy_trees(mode: str, **fields) -> TreeSpec:
+    spec = dict(
+        mode=mode, items=(Item("dummy"),) * 4, pipe_depth=16, stream_depth=16,
+        burst_words=1, bursts=2, sectors=1, n_channels=1, affinity=(0, 0),
+        setup_cycles=80, cycles_per_word=2,
+    )
+    return TreeSpec(**{**spec, **fields})
+
+
+@pytest.mark.parametrize("mode", ["pipelined", "fused"])
+def test_in_phase_trees_submit_at_their_own_positions(mode):
+    """``DummySource`` roots run in phase, so the two engines of a tree
+    submit in the same cycle: each submission reaches the channel at its
+    own engine's position.  The pipelined order puts every archive
+    engine before every aggregation engine, so other trees' engines
+    submit between a tree's two; the one-region order puts each tree's
+    aggregation engine just before its archive engine."""
+    ref = assert_trees_three_ways(dummy_trees(mode), 100_000_000)
+    by_cycle = {}
+    for owner, _address, submitted, *_ in ref[1]["bursts"]:
+        by_cycle.setdefault(submitted, []).append(owner)
+    gaps = [
+        owners.index(f"Aggregate{w}") - owners.index(f"Archive{w}")
+        for owners in by_cycle.values()
+        for w in range(4)
+        if f"Aggregate{w}" in owners and f"Archive{w}" in owners
+    ]
+    assert gaps
+    if mode == "pipelined":
+        assert max(gaps) > 1
+    else:
+        assert set(gaps) == {-1}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(quota=-16),  # the pricers close early: the engines starve
+        dict(quota=16),  # the engines finish first: the pricers block
+        dict(items=(Item("dummy", extra=-3), Item("dummy"))),  # a pricer starves
+        dict(items=(Item("dummy", extra=20), Item("dummy"))),  # a source blocks
+    ],
+)
+def test_stuck_trees_deadlock_like_the_reference(fields):
+    for mode in ("pipelined", "fused"):
+        ref = assert_trees_three_ways(dummy_trees(mode, **fields), 100_000_000)
+        assert ref[0][0] == "DeadlockError"
+
+
+@pytest.mark.parametrize("mode", ["pipelined", "fused"])
+def test_both_writes_land_in_one_cycle(mode):
+    """Each engine of the one tree on its own channel: they keep in step,
+    so the pricer's blocked writes to both sinks land in the same cycle,
+    which counts as one active cycle."""
+    spec = dummy_trees(
+        mode, items=(Item("dummy"),), pipe_depth=2, stream_depth=2,
+        n_channels=2, affinity=(0, 1),
+    )
+    ref = assert_trees_three_ways(spec, 100_000_000)
+    stats = ref[1]["processes"]["Pricer0"]["stats"]
+    assert stats["active_cycles"] > stats["iterations"] + 1  # flushes landed
+    assert stats["stall_cycles"] > 0
+
+
+@pytest.mark.parametrize(
+    "setup_cycles, depth, split", [(0, 1, False), (20, 3, False), (20, 2, True)]
+)
+def test_abort_at_every_cycle_of_a_small_tree(setup_cycles, depth, split):
+    """``max_cycles`` at each cycle of a short pipelined run, so every
+    phase of the pricer and both engines is cut somewhere.  ``split``
+    gives each engine its own channel and both sinks one depth, so the
+    engines keep in step and the pricer is cut blocked on both."""
+    spec = TreeSpec(
+        mode="pipelined",
+        items=(
+            Item("scalar", kernel=GammaKernelConfig(
+                limit_main=32, break_id=2, adapted_mt=False, seed=5)),
+        ),
+        pipe_depth=depth, stream_depth=depth if split else 2, burst_words=1,
+        bursts=2, sectors=1, n_channels=2 if split else 1,
+        affinity=(0, 1) if split else (0, 0), setup_cycles=setup_cycles,
+        cycles_per_word=1,
+    )
+    final = assert_trees_three_ways(spec, 100_000_000)[0][0]
+    assert isinstance(final, int)
+    for max_cycles in range(1, final):
+        assert assert_trees_three_ways(spec, max_cycles)[0][0] == "RuntimeError"
+
+
+def test_fused_pricing_region_fuses_every_tree():
+    build = build_fused_pricing_region(PricingPipelineConfig(n_work_items=4))
+    assert fused_pairs(build.region) == [
+        (f"GammaRNG{w}", f"Pricer{w}", f"Aggregate{w}", f"Archive{w}")
+        for w in range(4)
+    ]
+
+
+def test_pipelined_build_fuses_every_tree_across_its_regions():
+    build = build_pricing_pipeline(PricingPipelineConfig(n_work_items=4))
+    _regions, ordered, channels, _pipes = build.graph._validate()
+    assert len(fused_trees(ordered, channels)) == 4
+
+
+def test_sequential_regions_fuse_nothing():
+    """No region of a sequential run holds a whole tree."""
+    config = PricingPipelineConfig(n_work_items=2)
+    build = build_pricing_pipeline(config, pipe_depth=config.sequential_pipe_depth)
+    for region in build.graph.regions:
+        assert fused_pairs(region) == []
+
+
+def test_overridden_pricer_tick_keeps_its_tree_per_tick():
+    build = build_fused_pricing_region(PricingPipelineConfig(n_work_items=2))
+    build.pricers[0].__class__ = OwnTick
+    assert fused_pairs(build.region) == [
+        ("GammaRNG1", "Pricer1", "Aggregate1", "Archive1")
+    ]
+
+
+def test_pack_ablation_leaf_keeps_its_tree_per_tick():
+    build = build_fused_pricing_region(PricingPipelineConfig(n_work_items=2))
+    build.archive_engines[1].dependence_false = False
+    assert fused_pairs(build.region) == [
+        ("GammaRNG0", "Pricer0", "Aggregate0", "Archive0")
+    ]
+
+
+def test_leaf_on_a_channel_outside_the_run_keeps_per_tick_stepping():
+    """Aggregation on a channel the run does not advance: no tree fuses,
+    and the run deadlocks like the reference."""
+    config = PricingPipelineConfig(n_channels=2, channel_affinity=(0, 1))
+    messages = []
+    for fast in (True, False):
+        build = build_fused_pricing_region(config)
+        build.region._memory_channels.remove(build.channels[1])
+        if fast:
+            assert fused_pairs(build.region) == []
+        with pytest.raises(DeadlockError) as excinfo:
+            build.region.run(fast_path=fast)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+
+
+def test_aggregating_engine_fed_by_a_source_fuses_as_a_chain():
+    """The aggregate folds each value as it is read, so its total is the
+    reference's bit for bit."""
+    totals = []
+    for fast in (True, False):
+        stream = Stream("g", depth=4)
+        kernel = gamma_process("k", 0, GammaKernelConfig(limit_main=128), stream)
+        channel = MemoryChannel()
+        engine = AggregatingTransferEngine(
+            "agg", 0, stream, channel, burst_words=4,
+            bursts_per_sector=2, sectors=1, block_offset=8,
+        )
+        region = DataflowRegion("agg")
+        region.attach_memory_channel(channel)
+        region.add(kernel)
+        region.add(engine)
+        if fast:
+            assert fused_pairs(region) == [("k", "agg")]
+        report = region.run(fast_path=fast)
+        totals.append((engine.total, engine.values, report.cycles, vars(engine.stats)))
+        assert engine.total == sum(kernel.produced)
+    assert totals[0] == totals[1]

@@ -756,7 +756,7 @@ def counted_run(build, fast, traced=False):
 PARKING_BUILDS = {
     "fig3": (parking_fig3, 0.25, 0, 4_204),
     "fig7": (parking_fig7, 0.1, 0, 30_740),
-    "pipeline": (parking_pipeline, 0.25, 10_030, 2_669),
+    "pipeline": (parking_pipeline, 0.1, 0, 5_584),
 }
 
 
@@ -789,6 +789,45 @@ def test_fast_path_does_not_tick_stall_repeats(name, traced):
         assert fast_ticks <= max_ratio * ref_ticks, (
             f"fast path ticked {fast_ticks} of {ref_ticks} reference ticks"
         )
+
+
+def test_pricing_process_keeps_fast_path_hints():
+    """A pricer's own ``next_event`` and ``skip_cycles`` park it where
+    its work-item does not fuse.  Here every archive engine runs the
+    II=2 pack ablation, so no tree fuses and the pricers block on their
+    full sinks and starve on their empty gamma pipes: they park, the
+    fast path ticks them less than the reference loop does, and the
+    report is identical.  A pricer whose hints returned None would
+    never park."""
+    from repro.core.pricing import build_pricing_pipeline
+    from repro.harness.pipelines import TRANSFER_BOUND_CONFIG
+
+    def run(fast):
+        build = build_pricing_pipeline(TRANSFER_BOUND_CONFIG)
+        for engine in build.archive_engines:
+            engine.dependence_false = False
+        ticks, parks = [0], [0]
+        for pricer in build.pricers:
+
+            def tick(cycle, _tick=pricer.tick):
+                ticks[0] += 1
+                return _tick(cycle)
+
+            def next_event(cycle, _next_event=pricer.next_event):
+                event = _next_event(cycle)
+                parks[0] += event is not None
+                return event
+
+            pricer.tick = tick
+            pricer.next_event = next_event
+        report = build.runner.run(fast_path=fast)
+        return ticks[0], parks[0], pipeline_report_fields(report)
+
+    ref_ticks, _, ref_fields = run(fast=False)
+    fast_ticks, parks, fast_fields = run(fast=True)
+    assert parks > 0
+    assert fast_ticks < ref_ticks
+    assert fast_fields == ref_fields
 
 
 def burst_log(build, fast):

@@ -151,14 +151,23 @@ def test_vector_lanes_on_reference_loop_identical():
     assert v_items.region.skipped_cycles == 0
 
 
+class OwnTickPricer(pricing.PricingProcess):
+    """A pricer with its own ``tick``: its work-item keeps per-tick
+    stepping instead of fusing into one tree."""
+
+    def tick(self, cycle):
+        return super().tick(cycle)
+
+
 def test_vector_process_keeps_fast_path_hints():
     """The lanes kernel's own ``next_event`` hints park it.
 
-    Run on the transfer-bound pricing pipeline, where no chain fuses
-    (a ``PricingProcess`` feeds every engine), so the kernels are
-    skipped through their hints alone: they park, and the fast path
-    ticks them less than the reference loop does, with an identical
-    report.  A kernel whose hints returned None would never park.
+    Run on the transfer-bound pricing pipeline with every pricer's
+    ``tick`` overridden, so no work-item fuses and the kernels block and
+    tick: they are skipped through their hints alone.  They park, and
+    the fast path ticks them less than the reference loop does, with an
+    identical report.  A kernel whose hints returned None would never
+    park.
     """
     from repro.core.pricing import build_pricing_pipeline
     from repro.harness.pipelines import TRANSFER_BOUND_CONFIG
@@ -166,6 +175,8 @@ def test_vector_process_keeps_fast_path_hints():
     def run(fast):
         build = build_pricing_pipeline(TRANSFER_BOUND_CONFIG)
         assert_built(build.kernels, VectorGammaRNGProcess)
+        for pricer in build.pricers:
+            pricer.__class__ = OwnTickPricer
         ticks, parks = [0], [0]
         for kernel in build.kernels:
 
