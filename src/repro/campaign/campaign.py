@@ -9,9 +9,8 @@ four-step DAG::
 
 * **calibrate** runs the plan's calibration payload once (for the
   default plans: a pinned gamma-kernel run measuring the rejection
-  rate and effective initiation interval, the same numbers the
-  surrogate sweeps calibrate against) and persists the result as step
-  state;
+  rate and effective initiation interval) and persists the result as
+  step state;
 * **sweep** seeds the grid rows (idempotent — identity is the config
   hash) and drains ``pending`` rows, either in-process or with N
   claimed-row worker subprocesses; a resumed sweep only sees rows that
@@ -239,17 +238,20 @@ def _spawn_workers(store: CampaignStore, n_workers: int) -> None:
 
 
 def calibrate_gamma() -> dict:
-    """Pinned gamma-kernel calibration run (the surrogate's terms)."""
+    """Pinned gamma-kernel calibration run: the pooled rejection rate and
+    the kernels' cycles per MAINLOOP iteration (active plus II-bubble
+    cycles over iterations, the effective initiation interval)."""
     from repro.core.decoupled import DecoupledWorkItems
     from repro.harness.sweeps import PRUNE_BASE_CONFIG
-    from repro.surrogate import ReportCalibration
 
     result = DecoupledWorkItems(PRUNE_BASE_CONFIG).run()
-    calibration = ReportCalibration.from_result(result)
+    stats = [result.report.process_stats[k.name] for k in result.kernels]
+    busy = sum(s.active_cycles + s.pipeline_cycles for s in stats)
+    iterations = sum(s.iterations for s in stats)
     return {
         "cycles": result.cycles,
-        "rejection_rate": round(calibration.rejection_rate, 6),
-        "cycles_per_iteration": round(calibration.cycles_per_iteration, 6),
+        "rejection_rate": round(result.rejection_rate, 6),
+        "cycles_per_iteration": round(busy / iterations, 6),
     }
 
 

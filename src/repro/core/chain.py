@@ -515,7 +515,10 @@ class FusedTree:
     def _mark_window(self, upto) -> None:
         """Mark T's classes after its read at t_q, from t_marked up to
         ``upto``: ``compute`` where a write lands, else ``fifo_full``.
-        A landing still unknown lies past ``upto``."""
+        A landing still unknown lies past ``upto``.  T blocked for good
+        on a finished leaf is marked again at each wake of the other
+        leaf; t_marked keeps a landing marked then from being pushed
+        again behind the loop."""
         c = max(self.t_q + 1, self.t_marked)
         for land in sorted(self.t_lands):
             if land >= upto:

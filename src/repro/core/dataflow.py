@@ -49,8 +49,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter
 
-import networkx as nx
-
 from repro.core.chain import TreeLeaf, fuse_chains
 from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
@@ -63,6 +61,37 @@ __all__ = ["DataflowRegion", "DataflowError", "DeadlockError", "RegionReport"]
 
 class DataflowError(ValueError):
     """Invalid region wiring (violates the single producer-consumer rule)."""
+
+
+def topological_order(n: int, edges) -> list[int] | None:
+    """Nodes ``0 .. n-1`` in producer-before-consumer order under the
+    directed ``edges`` ``(u, v)``, or None if they form a cycle.
+
+    Kahn's sort, generation by generation: the nodes without an incoming
+    edge in index order, then each node in the order its last incoming
+    edge is removed, a node's successors in edge order.  A repeated edge
+    counts once.  Process and region indices follow this order, so it
+    fixes the order of ticks, reports and traces.
+    """
+    successors: list[dict[int, None]] = [{} for _ in range(n)]
+    for u, v in edges:
+        successors[u][v] = None
+    indegree = [0] * n
+    for targets in successors:
+        for v in targets:
+            indegree[v] += 1
+    generation = [v for v in range(n) if not indegree[v]]
+    order: list[int] = []
+    while generation:
+        order += generation
+        ready = []
+        for u in generation:
+            for v in successors[u]:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    ready.append(v)
+        generation = ready
+    return order if len(order) == n else None
 
 
 class DeadlockError(RuntimeError):
@@ -158,20 +187,20 @@ class DataflowRegion:
                         f"{consumers[s].name!r} and {proc.name!r}"
                     )
                 consumers[s] = proc
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(len(self._processes)))
         index = {p: i for i, p in enumerate(self._processes)}
-        for s, producer in producers.items():
-            consumer = consumers.get(s)
-            if consumer is not None:
-                graph.add_edge(index[producer], index[consumer])
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
+        order = topological_order(
+            len(self._processes),
+            [
+                (index[producer], index[consumers[s]])
+                for s, producer in producers.items()
+                if s in consumers
+            ],
+        )
+        if order is None:
             raise DataflowError(
                 f"region {self.name!r} contains a stream cycle; DATAFLOW "
                 "requires a feed-forward process network"
-            ) from exc
+            )
         return [self._processes[i] for i in order]
 
     # -- execution ------------------------------------------------------------------

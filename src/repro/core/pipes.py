@@ -48,8 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.dataflow import (
     DataflowError,
     DataflowRegion,
@@ -57,6 +55,7 @@ from repro.core.dataflow import (
     _resolve_attribution,
     _stream_snapshot,
     run_cycles,
+    topological_order,
 )
 from repro.core.process import Process
 from repro.core.stream import Stream
@@ -200,8 +199,7 @@ class PipelineGraph:
                             f"stream {s.name!r} consumed in two regions"
                         )
                     consumers[s] = i
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(len(self._regions)))
+        edges: list[tuple[int, int]] = []
         pipes: list[Pipe] = []
         for s, producer in producers.items():
             consumer = consumers.get(s)
@@ -229,7 +227,7 @@ class PipelineGraph:
                     "links must be Pipes"
                 )
             pipes.append(s)
-            graph.add_edge(producer, consumer)
+            edges.append((producer, consumer))
         for s, consumer in consumers.items():
             if isinstance(s, Pipe) and s not in producers:
                 raise PipeError(
@@ -237,13 +235,12 @@ class PipelineGraph:
                     f"{self._regions[consumer].name!r}) but no producer "
                     "region"
                 )
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
+        order = topological_order(len(self._regions), edges)
+        if order is None:
             raise PipeError(
                 f"pipeline {self.name!r} contains a region cycle; "
                 "pipelines require a feed-forward region DAG"
-            ) from exc
+            )
         ordered_regions = [self._regions[i] for i in order]
         ordered_processes = [
             p for i in order for p in region_order[i]

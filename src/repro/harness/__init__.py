@@ -45,19 +45,20 @@ registry.register_lazy(
 registry.register_lazy(
     "fifo-prune",
     "repro.harness.sweeps:run_fifo_prune",
-    "FIFO sizing via the surrogate-pruned sweep "
-    "(simulates the predicted frontier only)",
+    "FIFO sizing: every depth simulated, the smallest adequate one "
+    "recommended",
 )
 registry.register_lazy(
     "sweep-prune",
     "repro.harness.sweeps:run_sweep_prune",
-    "depth x channels Pareto sweep, surrogate-pruned",
+    "burst x channels sweep: every point simulated, the exact Pareto "
+    "frontier",
 )
 registry.register_lazy(
     "timing-prune",
     "repro.harness.sweeps:run_timing_prune",
-    "replication vs timing-closure sweep, surrogate-pruned "
-    "(slice cost axis, frequency-derated wall time)",
+    "replication vs timing-closure sweep: every point simulated, the "
+    "exact frontier (slice cost axis, frequency-derated wall time)",
 )
 registry.register_lazy(
     "pipeline",

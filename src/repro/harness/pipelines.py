@@ -13,8 +13,9 @@
   per-region channel affinity — the multi-channel split EXPERIMENTS.md
   measures at ~2x, reproduced here as first-class pipeline config.
 
-The notes carry the pipe-depth recommendation from the surrogate-pruned
-sweep (:func:`repro.surrogate.pruned_pipe_depth_sweep`), so the table
+The notes carry the pipe-depth recommendation of an exhaustive sweep
+(:func:`repro.core.fifo_sizing.advise_stream_depth` over a
+:class:`~repro.core.pipes.MultiRegionRunner` per depth), so the table
 documents not just the overlap but the FIFO budget needed to get it.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fifo_sizing import advise_stream_depth
 from repro.core.kernel import GammaKernelConfig
 from repro.core.pricing import (
     PricingPipelineConfig,
@@ -90,9 +92,7 @@ def run_pipeline(
             ]
         )
 
-    from repro.surrogate import pruned_pipe_depth_sweep
-
-    sweep = pruned_pipe_depth_sweep(
+    sweep = advise_stream_depth(
         lambda depth: build_pricing_pipeline(base, pipe_depth=depth).runner,
         depths=PIPE_SWEEP_DEPTHS,
     )
@@ -119,8 +119,8 @@ def run_pipeline(
                 "1ch": one_ch.cycles,
                 "2ch": two_ch.cycles,
             },
-            "pipe_depth_predicted": {
-                str(d): sweep.predicted[d] for d in PIPE_SWEEP_DEPTHS
+            "pipe_depth_cycles": {
+                str(p.depth): p.cycles for p in sweep.points
             },
         },
         notes=(
@@ -128,7 +128,6 @@ def run_pipeline(
             f"{1.0 - overlap:.0%}); second channel speedup {speedup:.2f}x "
             f"on the transfer-bound variant; pipelined == fused bit for "
             f"bit; recommended pipe depth {sweep.recommended_depth} "
-            f"(simulated {len(sweep.simulated_depths)}/"
-            f"{len(PIPE_SWEEP_DEPTHS)} depths, margin {sweep.margin:.3f})"
+            f"(simulated {len(sweep.points)}/{len(PIPE_SWEEP_DEPTHS)} depths)"
         ),
     )

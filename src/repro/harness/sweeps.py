@@ -1,18 +1,23 @@
-"""Surrogate-pruned sweep drivers (``fifo-prune``, ``sweep-prune``).
+"""Exhaustive design-space sweeps (``fifo-prune``, ``sweep-prune``,
+``timing-prune``).
 
-These CLI experiments exercise :mod:`repro.surrogate` end to end on the
-same config family the exhaustive sweeps use: score the whole grid with
-the calibrated surrogate, cycle-simulate only the surviving candidates,
-and report predicted-vs-simulated cycles per point so the pruning is
-auditable from the rendered table (``-`` marks points the surrogate
-ruled out without simulation).
+Each experiment cycle-simulates every point of its grid on the fast
+path and prunes the grid to the exact answer: the smallest adequate
+FIFO depth (:func:`repro.core.fifo_sizing.advise_stream_depth`), or the
+(resource cost, cycles) Pareto frontier (:func:`pareto_indices`) of a
+burst length × channel count grid or of work-item replication against
+the Table II slice budget.  The tables list every point's simulated
+cycles.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.core.decoupled import DecoupledConfig
+import numpy as np
+
+from repro.core.decoupled import DecoupledConfig, DecoupledWorkItems
+from repro.core.fifo_sizing import advise_stream_depth
 from repro.core.kernel import GammaKernelConfig
 from repro.core.memory import MemoryChannelConfig
 from repro.harness.experiments import ExperimentResult
@@ -22,6 +27,7 @@ __all__ = [
     "PRUNE_BASE_CONFIG",
     "PRUNE_DEPTHS",
     "TIMING_PRUNE_COUNTS",
+    "pareto_indices",
     "run_fifo_prune",
     "run_sweep_prune",
     "run_timing_prune",
@@ -29,8 +35,7 @@ __all__ = [
 
 #: The depth-sensitive configuration the fifo_sizing tests sweep —
 #: the default vectorized lanes + the short Mersenne Twister keep one
-#: simulation cheap enough that pruning headroom, not Python overhead,
-#: dominates.
+#: simulation cheap.
 PRUNE_BASE_CONFIG = DecoupledConfig(
     n_work_items=2,
     kernel=GammaKernelConfig(mt_params=MT521_PARAMS, limit_main=128),
@@ -41,47 +46,56 @@ PRUNE_BASE_CONFIG = DecoupledConfig(
 PRUNE_DEPTHS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 
+def pareto_indices(costs, values) -> list[int]:
+    """Indices on the (cost, value) Pareto frontier, both minimized.
+
+    Weak dominance with ties kept: a point is dropped only if another
+    point is no worse on both axes and strictly better on at least one.
+    Exact duplicates all stay on the frontier.
+    """
+    c = np.asarray(costs, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
+    if c.shape != v.shape or c.ndim != 1:
+        raise ValueError("costs and values must be equal-length 1-D")
+    keep = []
+    for i in range(len(c)):
+        dominated = (
+            (c <= c[i]) & (v <= v[i]) & ((c < c[i]) | (v < v[i]))
+        ).any()
+        if not dominated:
+            keep.append(i)
+    return keep
+
+
 def run_fifo_prune(
     base_config: DecoupledConfig | None = None,
     depths: tuple[int, ...] = PRUNE_DEPTHS,
 ) -> ExperimentResult:
-    """FIFO sizing via the surrogate-pruned sweep."""
-    from repro.surrogate import pruned_stream_depth_sweep
-
+    """FIFO sizing: simulate every depth, recommend the smallest adequate."""
     base = base_config or PRUNE_BASE_CONFIG
-    result = pruned_stream_depth_sweep(base, depths=depths)
-    simulated = {p.depth: p for p in result.points}
-    rows = []
-    for depth in depths:
-        point = simulated.get(depth)
-        rows.append(
-            [
-                depth,
-                round(result.predicted[depth], 1),
-                point.cycles if point else "-",
-                point.total_write_stalls if point else "-",
-                "yes" if depth == result.recommended_depth else "",
-            ]
-        )
+    result = advise_stream_depth(
+        lambda depth: DecoupledWorkItems(
+            dataclasses.replace(base, stream_depth=depth)
+        ).region,
+        depths=depths,
+    )
+    rows = [
+        [
+            p.depth,
+            p.cycles,
+            p.total_write_stalls,
+            "yes" if p.depth == result.recommended_depth else "",
+        ]
+        for p in result.points
+    ]
     return ExperimentResult(
-        experiment="FIFO sizing (surrogate-pruned sweep)",
-        headers=[
-            "depth",
-            "predicted_cycles",
-            "simulated_cycles",
-            "write_stalls",
-            "recommended",
-        ],
+        experiment="FIFO sizing (exhaustive sweep)",
+        headers=["depth", "simulated_cycles", "write_stalls", "recommended"],
         rows=rows,
-        series={
-            "predicted": {str(d): result.predicted[d] for d in depths},
-        },
         notes=(
             f"recommended depth {result.recommended_depth}; simulated "
-            f"{len(result.simulated_depths)}/{len(depths)} depths "
-            f"(margin {result.margin:.3f}, max LOO error "
-            f"{result.fit.max_relative_error:.3f}, "
-            f"tolerance {result.tolerance:.0%})"
+            f"{len(result.points)}/{len(depths)} depths "
+            f"(tolerance {result.tolerance:.0%})"
         ),
     )
 
@@ -107,43 +121,36 @@ def _grid(base: DecoupledConfig):
 def run_sweep_prune(
     base_config: DecoupledConfig | None = None,
 ) -> ExperimentResult:
-    """Pareto frontier of a (burst length × channels) grid, pruned."""
-    from repro.surrogate import pruned_grid_sweep
-
+    """Exact Pareto frontier of a (burst length × channels) grid."""
     base = base_config or dataclasses.replace(
         PRUNE_BASE_CONFIG, n_work_items=4
     )
     configs, costs = _grid(base)
-    result = pruned_grid_sweep(configs, costs)
-    frontier = set(result.frontier_indices)
-    rows = []
-    for i, (cfg, cost) in enumerate(zip(configs, costs)):
-        rows.append(
-            [
-                cfg.burst_words,
-                cfg.n_channels,
-                cost,
-                round(float(result.predicted[i]), 1),
-                result.simulated_cycles.get(i, "-"),
-                "yes" if i in frontier else "",
-            ]
-        )
+    cycles = [DecoupledWorkItems(cfg).run().cycles for cfg in configs]
+    frontier = pareto_indices(costs, cycles)
+    rows = [
+        [
+            cfg.burst_words,
+            cfg.n_channels,
+            costs[i],
+            cycles[i],
+            "yes" if i in frontier else "",
+        ]
+        for i, cfg in enumerate(configs)
+    ]
     return ExperimentResult(
-        experiment="Burst x channels Pareto sweep (surrogate-pruned)",
+        experiment="Burst x channels Pareto sweep (exhaustive)",
         headers=[
             "burst_words",
             "channels",
             "cost",
-            "predicted_cycles",
             "simulated_cycles",
             "frontier",
         ],
         rows=rows,
         notes=(
-            f"frontier {sorted(frontier)} of {len(configs)} grid points; "
-            f"simulated {len(result.candidate_indices)} "
-            f"(margin {result.margin:.3f}, max LOO error "
-            f"{result.fit.max_relative_error:.3f})"
+            f"frontier {frontier} of {len(configs)} grid points; "
+            f"simulated {len(cycles)}/{len(configs)}"
         ),
     )
 
@@ -161,19 +168,18 @@ def run_timing_prune(
     counts: tuple[int, ...] = TIMING_PRUNE_COUNTS,
     config: str = "Config1",
 ) -> ExperimentResult:
-    """Timing-closure sweep: replication vs routing pressure, pruned.
+    """Timing-closure sweep: replication vs routing pressure.
 
     The cost axis is the Table II placement's slice count: more
     work-item replicas mean more parallel cycles *and* more routing
     pressure, and past the knee the achievable clock sags
-    (:class:`repro.resources.TimingModel`).  The surrogate prunes the
-    cycle simulations exactly as in the burst/channel sweep; the
-    derated columns then convert surviving cycle counts to wall time at
-    each point's *achievable* clock — the frontier in time-at-closure
-    can differ from the frontier in raw cycles, which is the point.
+    (:class:`repro.resources.TimingModel`).  Every point is simulated
+    and the frontier is exact in cycles; the derated columns convert
+    each point's cycles to wall time at its *achievable* clock — the
+    frontier in time-at-closure can differ from the frontier in raw
+    cycles, which is the point.
     """
     from repro.resources import DEVICE_BUDGET, ResourceModel, TimingModel
-    from repro.surrogate import pruned_grid_sweep
 
     resource_model = ResourceModel()
     timing = TimingModel()
@@ -195,36 +201,29 @@ def run_timing_prune(
         placement = resource_model.estimate(config, n)
         costs.append(placement.totals.slices)
         utils.append(placement.totals.slices / DEVICE_BUDGET.slices)
-    result = pruned_grid_sweep(configs, costs)
-    frontier = set(result.frontier_indices)
+    cycles = [DecoupledWorkItems(cfg).run().cycles for cfg in configs]
+    frontier = pareto_indices(costs, cycles)
     rows = []
     for i, n in enumerate(counts):
         freq_hz = timing.achievable_hz(min(utils[i], 1.0))
-        cycles = result.simulated_cycles.get(i)
         rows.append(
             [
                 n,
                 costs[i],
                 f"{100.0 * utils[i]:.1f}%",
                 f"{freq_hz / 1e6:.1f}",
-                round(float(result.predicted[i]), 1),
-                cycles if cycles is not None else "-",
-                (
-                    f"{1e3 * cycles / freq_hz:.3f}"
-                    if cycles is not None
-                    else "-"
-                ),
+                cycles[i],
+                f"{1e3 * cycles[i] / freq_hz:.3f}",
                 "yes" if i in frontier else "",
             ]
         )
     return ExperimentResult(
-        experiment="Timing-closure sweep (surrogate-pruned)",
+        experiment="Timing-closure sweep (exhaustive)",
         headers=[
             "work_items",
             "slices",
             "utilization",
             "derated clock [MHz]",
-            "predicted_cycles",
             "simulated_cycles",
             "derated time [ms]",
             "frontier",
@@ -238,10 +237,8 @@ def run_timing_prune(
             },
         },
         notes=(
-            f"frontier {sorted(frontier)} of {len(configs)} replication "
+            f"frontier {frontier} of {len(configs)} replication "
             f"points ({config} blocks); simulated "
-            f"{len(result.candidate_indices)} "
-            f"(margin {result.margin:.3f}, max LOO error "
-            f"{result.fit.max_relative_error:.3f})"
+            f"{len(cycles)}/{len(configs)}"
         ),
     )

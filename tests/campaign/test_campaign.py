@@ -7,6 +7,7 @@ import pytest
 from repro.campaign.campaign import (
     PLANS,
     CampaignPlan,
+    calibrate_gamma,
     execute_payload,
     payload_label,
     render_report,
@@ -15,6 +16,8 @@ from repro.campaign.campaign import (
     run_worker,
 )
 from repro.campaign.store import CampaignStore
+from repro.core.decoupled import DecoupledWorkItems
+from repro.harness.sweeps import PRUNE_BASE_CONFIG
 
 #: cheap, deterministic spec payload: config_hash is pure and imported
 #: from the package under test, so no tmp module machinery is needed
@@ -23,6 +26,16 @@ GOOD = {
     "kwargs": {"payload": {"x": 1}, "seed": 1},
 }
 BAD = {"spec": "repro.campaign.store:config_hash", "kwargs": {"bogus": 1}}
+
+
+def test_calibrate_gamma_measures_region():
+    calibration = calibrate_gamma()
+    result = DecoupledWorkItems(PRUNE_BASE_CONFIG).run()
+    assert calibration["cycles"] == result.cycles
+    assert calibration["rejection_rate"] == round(result.rejection_rate, 6)
+    # II is 1 and gated-MT bubbles are rare: cycles/iteration sits in a
+    # narrow band just above 1
+    assert 1.0 <= calibration["cycles_per_iteration"] < 4.0
 
 
 class TestPayloads:

@@ -624,6 +624,9 @@ class TreeSpec:
     cycles_per_word: int
     quota: int = 0  # the pricers' count off the engines' values
     own_tick: tuple[int, ...] = ()  # work-items whose pricer is ``OwnTick``
+    # (setup_cycles, cycles_per_word) of the aggregation channel, if not
+    # the other channels' timing
+    aggregate_timing: tuple[int, int] | None = None
 
     @property
     def per_item(self) -> int:
@@ -687,8 +690,12 @@ def build_trees(spec: TreeSpec):
     needs in ``sequential`` mode."""
     n = len(spec.items)
     memory = GlobalMemory(2 * n * spec.words)
-    config = MemoryChannelConfig(spec.setup_cycles, spec.cycles_per_word)
-    channels = [MemoryChannel(config, memory) for _ in range(spec.n_channels)]
+    timings = [(spec.setup_cycles, spec.cycles_per_word)] * spec.n_channels
+    if spec.aggregate_timing is not None:
+        timings[spec.affinity[1]] = spec.aggregate_timing
+    channels = [
+        MemoryChannel(MemoryChannelConfig(*timing), memory) for timing in timings
+    ]
     archive_channel, aggregate_channel = (channels[i] for i in spec.affinity)
     link = Stream if spec.mode == "fused" else Pipe
     depth = spec.pipe_depth
@@ -885,6 +892,26 @@ def test_both_writes_land_in_one_cycle(mode):
     stats = ref[1]["processes"]["Pricer0"]["stats"]
     assert stats["active_cycles"] > stats["iterations"] + 1  # flushes landed
     assert stats["stall_cycles"] > 0
+
+
+@pytest.mark.parametrize("mode", ["pipelined", "fused"])
+def test_pricer_blocked_for_good_marks_a_landed_write_once(mode):
+    """The aggregation engine, on a fast channel behind a one-deep pipe,
+    takes all its values and finishes; the pricer's quota is above the
+    engines', so it fills that pipe and blocks on it for good.  Its
+    write of the same value to the archive, whose deep stream is full
+    while its first burst drains on the slow channel, lands later at a
+    known cycle.  The pricer's classes up to the archive's next wake,
+    that landing among them, are marked once: the wakes after it must
+    not mark the landing again behind the loop."""
+    spec = dummy_trees(
+        mode, items=(Item("dummy", extra=8),), pipe_depth=1, stream_depth=17, bursts=2,
+        quota=8, n_channels=2, affinity=(0, 1), aggregate_timing=(0, 1),
+    )
+    ref = assert_trees_three_ways(spec, 100_000_000)
+    assert ref[0][0] == "DeadlockError"
+    stats = ref[1]["processes"]["Pricer0"]["stats"]
+    assert stats["active_cycles"] > stats["iterations"]  # a write landed late
 
 
 @pytest.mark.parametrize(

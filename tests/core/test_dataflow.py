@@ -9,6 +9,7 @@ from repro.core import (
     Process,
     Stream,
 )
+from repro.core.dataflow import topological_order
 
 
 class Producer(Process):
@@ -138,6 +139,35 @@ class TestWiringValidation:
     def test_empty_region_rejected(self):
         with pytest.raises(DataflowError):
             DataflowRegion("t").run()
+
+
+class TestTopologicalOrder:
+    """The order processes tick in, and regions in a pipeline: it fixes
+    every index in reports and traces, so it is pinned exactly."""
+
+    def test_generation_by_generation(self):
+        # 3 and 4 start, in index order; 2 and 0 follow in the order
+        # their last incoming edge goes, successors in edge order
+        edges = [(4, 0), (3, 1), (0, 1), (3, 2)]
+        assert topological_order(5, edges) == [3, 4, 2, 0, 1]
+
+    def test_successors_in_edge_order(self):
+        assert topological_order(3, [(0, 2), (0, 1)]) == [0, 2, 1]
+
+    def test_parallel_edges_count_once(self):
+        # counted twice, node 2 would wait for its second edge: [0, 1, 2]
+        assert topological_order(3, [(0, 2), (0, 1), (0, 2)]) == [0, 2, 1]
+        # two pipes between each pair of pipeline stages
+        edges = [(0, 1), (0, 1), (1, 2), (1, 2)]
+        assert topological_order(3, edges) == [0, 1, 2]
+
+    def test_isolated_nodes_and_empty_graph(self):
+        assert topological_order(3, []) == [0, 1, 2]
+        assert topological_order(0, []) == []
+
+    def test_cycles_return_none(self):
+        assert topological_order(3, [(0, 1), (1, 2), (2, 1)]) is None
+        assert topological_order(2, [(1, 1)]) is None
 
 
 class TestExecution:

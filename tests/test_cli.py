@@ -56,7 +56,7 @@ class TestJsonOutput:
         assert set(record["scalars"]) == set(map(str, record["headers"]))
 
     def test_json_pruned_sweeps_round_trip(self, capsys):
-        """The new pruned-sweep experiments use the same record schema."""
+        """The exhaustive sweep experiments use the same record schema."""
         assert main(["--json", "fifo-prune", "sweep-prune"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert [r["name"] for r in records] == ["fifo-prune", "sweep-prune"]
@@ -69,12 +69,11 @@ class TestJsonOutput:
             assert "recommended depth" in record["notes"] or (
                 "frontier" in record["notes"]
             )
-        fifo, sweep = records
-        # un-simulated grid points survive coercion as "-" placeholders
-        assert any("-" in row for row in fifo["rows"])
-        assert {len(row) for row in sweep["rows"]} == {
-            len(sweep["headers"])
-        }
+            # every grid point is simulated: no "-" placeholder is left
+            assert not any("-" in row for row in record["rows"])
+            assert {len(row) for row in record["rows"]} == {
+                len(record["headers"])
+            }
 
     def test_json_timing_prune_round_trip(self, capsys):
         """The timing-closure sweep rides the same record schema."""
@@ -86,8 +85,7 @@ class TestJsonOutput:
         assert set(record["scalars"]) == set(map(str, record["headers"]))
         assert "derated clock [MHz]" in record["headers"]
         assert "frontier" in record["notes"]
-        # every row coerces cleanly whether its point was simulated or
-        # pruned to a "-" placeholder (a 6-point grid may retain all 6)
+        assert not any("-" in row for row in record["rows"])
         assert {len(row) for row in record["rows"]} == {
             len(record["headers"])
         }

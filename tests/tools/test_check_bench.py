@@ -53,10 +53,6 @@ class TestRulePrecedence:
         assert tolerance_for("pipeline.overlap_ratio") == 1e-6
         assert tolerance_for("pipeline.stage_cycles.0") == 1e-6
 
-    def test_loo_error_band_beats_block_globs(self):
-        assert tolerance_for("pipeline.max_loo_relative_error") == 0.05
-        assert tolerance_for("surrogate.max_loo_relative_error") == 0.05
-
     def test_custom_rules_respect_declaration_order(self):
         rules = (("a.*", "skip"), ("*", 1e-6))
         assert tolerance_for("a.b", rules) == "skip"

@@ -26,12 +26,11 @@ measurement.  ``--report-only`` prints the full comparison but always
 exits 0 — the mode CI uses while a baseline is being reworked.
 
 Tolerance bands (first match on the dotted metric path wins, so the
-metric-shaped rules — skips, speedups, the LOO error — come before the
-block-scoped catch-alls)::
+metric-shaped rules — skips, speedups — come before the block-scoped
+catch-alls)::
 
     python, machine, *wall_seconds, *_ms, *_per_s   skipped
     *speedup*                                       rel <= 0.75
-    *max_loo_relative_error                         rel <= 0.05
     pipeline.* and everything else                  rel <= 1e-6 / exact
 """
 
@@ -61,8 +60,6 @@ DEFAULT_RULES: tuple = (
     # band instead of the wall-clock one (regression-tested in
     # tests/tools/test_check_bench.py::TestRulePrecedence)
     ("*speedup*", 0.75),
-    # deterministic given the data, but the lstsq fit runs through BLAS
-    ("*max_loo_relative_error", 0.05),
     # the rest of the pipeline block is deterministic end to end
     # (cycle counts and ratios of cycle counts): the exact band
     ("pipeline.*", 1e-6),

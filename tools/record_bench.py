@@ -7,9 +7,8 @@ Measures, on the current machine:
   (``vector_lanes=False``) and with the default vectorized numpy lanes,
 * the cycle-skipping fast path's wall-clock speedup on the channel-bound
   Fig 7 workload (reference loop vs skipping loop),
-* exhaustive vs surrogate-pruned FIFO-sizing sweep wall time,
-* the surrogate's maximum leave-one-out relative error on the honesty
-  calibration set.
+* the pipe-connected pricing pipeline's cycle counts, overlap,
+  channel-affinity gain and recommended pipe depth.
 
 Writes ``BENCH_simulator.json`` (committed at the repo root so number
 drift shows up in review; CI uploads the freshly measured file as an
@@ -118,75 +117,16 @@ def bench_fastpath() -> dict:
     }
 
 
-def bench_pruned_sweep() -> dict:
-    """Exhaustive vs surrogate-pruned FIFO sizing over the same grid."""
-    from repro.core.decoupled import DecoupledWorkItems
-    from repro.core.fifo_sizing import advise_stream_depth
-    from repro.harness.sweeps import PRUNE_BASE_CONFIG, PRUNE_DEPTHS
-    from repro.surrogate import pruned_stream_depth_sweep
-
-    depths = PRUNE_DEPTHS + (96, 128)
-    full_s, full = _best_of(
-        lambda: advise_stream_depth(
-            lambda depth: DecoupledWorkItems(
-                dataclasses.replace(
-                    PRUNE_BASE_CONFIG, stream_depth=depth
-                )
-            ).region,
-            depths=depths,
-        )
-    )
-    pruned_s, pruned = _best_of(
-        lambda: pruned_stream_depth_sweep(PRUNE_BASE_CONFIG, depths=depths)
-    )
-    assert pruned.recommended_depth == full.recommended_depth
-    return {
-        "grid_points": len(depths),
-        "simulated_points_pruned": len(pruned.simulated_depths),
-        "recommended_depth": pruned.recommended_depth,
-        "exhaustive_ms": round(1e3 * full_s, 1),
-        "pruned_ms": round(1e3 * pruned_s, 1),
-        "speedup": round(full_s / pruned_s, 2),
-    }
-
-
-def bench_surrogate_error() -> dict:
-    """Max LOOCV relative error on the honesty calibration set."""
-    from repro.core.decoupled import DecoupledWorkItems
-    from repro.surrogate import (
-        DEFAULT_ERROR_BOUND,
-        CycleSurrogate,
-        ReportCalibration,
-        config_features,
-    )
-
-    sys.path.insert(0, "tests")
-    from surrogate.test_model_honesty import CALIBRATION_CONFIGS
-
-    configs = list(CALIBRATION_CONFIGS.values())
-    results = [DecoupledWorkItems(c).run() for c in configs]
-    calibration = ReportCalibration.from_result(results[0])
-    fit = CycleSurrogate().fit(
-        [config_features(c, calibration) for c in configs],
-        [r.cycles for r in results],
-    )
-    assert fit.max_relative_error < DEFAULT_ERROR_BOUND
-    return {
-        "calibration_configs": len(configs),
-        "max_loo_relative_error": round(fit.max_relative_error, 4),
-        "documented_bound": DEFAULT_ERROR_BOUND,
-    }
-
-
 def bench_pipeline() -> dict:
     """Pipe-connected 3-region pipeline: overlap + channel affinity.
 
     Everything except ``pipelined_ms`` is a deterministic function of
     the pinned configs: cycle counts, the overlap ratio (pipelined
     makespan over the stage-sequential sum), the channel-affinity gain
-    on the transfer-bound variant, and the pruned sweep's pipe-depth
-    recommendation.
+    on the transfer-bound variant, and the pipe-depth recommendation of
+    an exhaustive sweep.
     """
+    from repro.core.fifo_sizing import advise_stream_depth
     from repro.core.pricing import (
         PricingPipelineConfig,
         build_pricing_pipeline,
@@ -196,7 +136,6 @@ def bench_pipeline() -> dict:
         PIPE_SWEEP_DEPTHS,
         TRANSFER_BOUND_CONFIG,
     )
-    from repro.surrogate import pruned_pipe_depth_sweep
 
     cfg = PricingPipelineConfig()
     pipelined_s, pipelined = _best_of(lambda: run_pricing_pipeline(cfg))
@@ -212,7 +151,7 @@ def bench_pipeline() -> dict:
             TRANSFER_BOUND_CONFIG, n_channels=2, channel_affinity=(0, 1)
         )
     )
-    sweep = pruned_pipe_depth_sweep(
+    sweep = advise_stream_depth(
         lambda depth: build_pricing_pipeline(cfg, pipe_depth=depth).runner,
         depths=PIPE_SWEEP_DEPTHS,
     )
@@ -258,8 +197,6 @@ SUITE_BENCHES: dict = {
     "simulator": {
         "lane_throughput": bench_lane_throughput,
         "fastpath": bench_fastpath,
-        "pruned_sweep": bench_pruned_sweep,
-        "surrogate": bench_surrogate_error,
         "pipeline": bench_pipeline,
     },
     "serving": {
