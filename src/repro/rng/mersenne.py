@@ -14,8 +14,16 @@ This module implements the twisted-GFSR recurrence generically over a
   external enable flag — the hook the adapted FPGA implementation
   (Listing 3) relies on, and
 * a vectorized numpy block generator (``generate``) used by the
-  statistical validation and the platform models, which computes a whole
-  state twist with three slice operations instead of a Python loop.
+  statistical validation, the platform models and the vector lanes
+  (:mod:`repro.core.lanes`), which computes a whole state twist with a
+  few slice operations instead of a Python loop and continues the
+  scalar stream exactly.
+
+Both paths follow the sequential recurrence word for word, so with
+:data:`MT19937_PARAMS` they are the reference MT19937: seed 5489 gives
+4,123,659,995 as its 10,000th output, the value C++11 requires of
+``std::mt19937``, and a 32-bit seed gives the words of
+``numpy.random.RandomState(seed)``.
 """
 
 from __future__ import annotations
@@ -127,12 +135,13 @@ class MersenneTwister:
     def seed(self, seed: int) -> None:
         """(Re)initialize state from a 32-bit seed (MT2002 init scheme)."""
         p = self.params
-        state = self._state
-        state[0] = seed & p.word_mask
-        prev = int(state[0])
+        mask, f, shift = p.word_mask, p.f, p.w - 2
+        prev = int(seed) & mask
+        words = [prev]
         for i in range(1, p.n):
-            prev = (p.f * (prev ^ (prev >> (p.w - 2))) + i) & p.word_mask
-            state[i] = prev
+            prev = (f * (prev ^ (prev >> shift)) + i) & mask
+            words.append(prev)
+        self._state[:] = words
         self._index = p.n
 
     def get_state(self) -> tuple[np.ndarray, int]:
@@ -151,31 +160,30 @@ class MersenneTwister:
     # -- core recurrence --------------------------------------------------------
 
     def _twist(self) -> None:
-        """Regenerate all n state words with three vectorized phases.
+        """Regenerate all n state words with vectorized slices.
 
-        Mirrors the sequential recurrence exactly: within one twist,
-        word ``i`` reads the *old* ``x[i+1]`` except for the final word,
-        which reads the freshly updated ``x[0]``.
+        Mirrors the sequential recurrence exactly.  Word ``i`` mixes the
+        *old* ``x[i]`` and ``x[i+1]``, except that the final word reads
+        the freshly updated ``x[0]``, so every other mix is one slice.
+        It then XORs ``x[(i+m) % n]``, which for ``i >= n-m`` is a word
+        updated earlier in the same twist.
         """
         p = self.params
         x = self._state
         n, m = p.n, p.m
-        upper = np.uint32(p.upper_mask)
-        lower = np.uint32(p.lower_mask)
-        a = np.uint32(p.a)
-
-        def twist_of(y):
-            return (y >> np.uint32(1)) ^ np.where(y & np.uint32(1), a, np.uint32(0))
-
-        # phase 1: i in [0, n-m) — all reads are pre-twist values
-        y = (x[: n - m] & upper) | (x[1 : n - m + 1] & lower)
-        x[: n - m] = x[m:n] ^ twist_of(y)
-        # phase 2: i in [n-m, n-1) — x[i+m-n] is already updated
-        y = (x[n - m : n - 1] & upper) | (x[n - m + 1 : n] & lower)
-        x[n - m : n - 1] = x[: m - 1] ^ twist_of(y)
+        y = (x[: n - 1] & np.uint32(p.upper_mask)) | (x[1:] & np.uint32(p.lower_mask))
+        mixed = (y >> np.uint32(1)) ^ ((y & np.uint32(1)) * np.uint32(p.a))
+        # i in [0, n-m): x[i+m] is not yet updated
+        x[: n - m] = x[m:] ^ mixed[: n - m]
+        # i in [n-m, n-1): x[i+m-n] is.  A slice reads before it writes,
+        # so each chunk spans at most n-m words and reads only words
+        # before it.
+        for lo in range(n - m, n - 1, n - m):
+            hi = min(lo + n - m, n - 1)
+            x[lo:hi] = x[lo + m - n : hi + m - n] ^ mixed[lo:hi]
         # final word: wraps around to the freshly updated x[0]
-        y = (x[n - 1] & upper) | (x[0] & lower)
-        x[n - 1] = x[m - 1] ^ twist_of(y)
+        last = (int(x[n - 1]) & p.upper_mask) | (int(x[0]) & p.lower_mask)
+        x[n - 1] = int(x[m - 1]) ^ (last >> 1) ^ (p.a if last & 1 else 0)
         self._index = 0
 
     def _temper(self, y: int) -> int:

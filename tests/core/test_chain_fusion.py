@@ -680,6 +680,11 @@ def tree_specs(
         cycles_per_word=draw(st.integers(1, 2)),
         quota=0 if whole else draw(st.sampled_from((0, 0, 0, -5, 7))),
         own_tick=tuple(sorted(own_tick)),
+        # leaves on channels of different speed: a pricer can block for
+        # good on a finished leaf while its other write lands late
+        aggregate_timing=draw(
+            st.none() | st.tuples(st.sampled_from((0, 1, 3, 80)), st.integers(1, 2))
+        ),
     )
 
 

@@ -19,10 +19,11 @@ import dataclasses
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.pricing as pricing
 from repro.core.decoupled import DecoupledConfig, DecoupledWorkItems
-from repro.core.kernel import TRANSFORMS, GammaKernelConfig, GammaRNGProcess
+from repro.core.kernel import ADVANCE, TRANSFORMS, GammaKernelConfig, GammaRNGProcess
 from repro.core.lanes import GammaLaneStream, VectorGammaRNGProcess, gamma_process
 from repro.core.pricing import run_pricing_pipeline
 from repro.core.stream import Stream
@@ -80,9 +81,45 @@ LANE_CONFIGS = {
 }
 
 
+#: kernels whose sectors run 1,100 to 5,200 iterations: several lane
+#: windows per work-item and several twists of every MT19937 twister
+#: (``LANE_CONFIGS`` sectors fit one small window and no twister
+#: twists twice)
+LONG_KERNELS = {
+    # more iterations than one window holds
+    "past_one_window": GammaKernelConfig(limit_main=4000, sector_variances=(1.39,)),
+    "boosted_three_sectors": GammaKernelConfig(
+        limit_main=2048, sector_variances=(1.39, 0.5, 2.0)
+    ),
+    "unboosted_two_sectors": GammaKernelConfig(
+        limit_main=1024, sector_variances=(0.7, 0.5)
+    ),
+    # the cap ends every sector well before its 1,024th accept
+    "capped": GammaKernelConfig(
+        limit_main=1024, limit_max=1100, sector_variances=(1.39, 0.5)
+    ),
+    "break_id2_naive_mt": GammaKernelConfig(
+        limit_main=1024, break_id=2, adapted_mt=False, sector_variances=(1.39, 0.5)
+    ),
+    "naive_exit": GammaKernelConfig(
+        limit_main=1024, use_delayed_counter=False, sector_variances=(1.39, 0.5)
+    ),
+    "mt521": GammaKernelConfig(
+        limit_main=1024, mt_params=MT521_PARAMS, sector_variances=(1.39, 0.5)
+    ),
+}
+
+
 def assert_built(kernels, cls):
     assert kernels and all(type(k) is cls for k in kernels), [
         type(k).__name__ for k in kernels
+    ]
+
+
+def facade_counts(kernel):
+    """The steps/held gating counters of every facade twister."""
+    return [
+        (getattr(kernel, role).steps, getattr(kernel, role).held) for role in MT_ROLES
     ]
 
 
@@ -94,10 +131,7 @@ def kernel_fields(kernel):
         kernel.attempts,
         kernel.accepts,
         kernel.overrun_iterations,
-        [
-            (getattr(kernel, role).steps, getattr(kernel, role).held)
-            for role in MT_ROLES
-        ],
+        facade_counts(kernel),
     )
 
 
@@ -129,6 +163,72 @@ def test_lane_configs_bit_identical(name):
     ]
     for s_k, v_k in zip(s_items.kernels, v_items.kernels):
         assert s_k.measured_rejection_rate == v_k.measured_rejection_rate
+
+
+def mainloop_records(kernel) -> list:
+    """Every record of ``kernel``'s MAINLOOP, with the sector state
+    stepped as ``tick`` steps it."""
+    records = []
+    while not kernel.done():
+        record = kernel._next_record()
+        records.append(record)
+        if record is ADVANCE:
+            kernel._advance_sector()
+        else:
+            kernel._k += 1
+    return records
+
+
+def assert_records_match(config) -> list:
+    """Lane records equal the scalar ``_next_record`` one for one, and
+    so do the steps/held counts of every facade twister."""
+    scalar = GammaRNGProcess("scalar", 0, config, Stream("s", depth=1))
+    lanes = VectorGammaRNGProcess("lanes", 0, config, Stream("v", depth=1))
+    records = mainloop_records(scalar)
+    assert mainloop_records(lanes) == records
+    assert facade_counts(scalar) == facade_counts(lanes)
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(LONG_KERNELS))
+def test_long_sectors_record_for_record(name):
+    config = LONG_KERNELS[name]
+    iterations = len(assert_records_match(config)) - config.sectors
+    if config.limit_max is not None:
+        assert iterations == config.sectors * config.limit_max
+    else:
+        assert iterations > config.sectors * config.limit_main
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    limit_main=st.integers(1, 160),
+    variances=st.lists(st.sampled_from((1.39, 0.5, 2.0, 0.7)), min_size=1, max_size=3),
+    headroom=st.none() | st.integers(0, 200),
+    break_id=st.integers(0, 9),
+    delayed=st.booleans(),
+    adapted=st.booleans(),
+    mt521=st.booleans(),
+    seed=st.integers(0, 2**20),
+)
+def test_prop_short_sectors_record_for_record(
+    limit_main, variances, headroom, break_id, delayed, adapted, mt521, seed
+):
+    """Small quotas take the window sizing's corners: a window short of
+    the quota is followed by another, and one that ends inside the
+    delayed counter's lag by a window of the lag alone."""
+    assert_records_match(
+        GammaKernelConfig(
+            limit_main=limit_main,
+            sector_variances=tuple(variances),
+            limit_max=None if headroom is None else limit_main + headroom,
+            break_id=break_id,
+            use_delayed_counter=delayed,
+            adapted_mt=adapted,
+            mt_params=MT521_PARAMS if mt521 else GammaKernelConfig().mt_params,
+            seed=seed,
+        )
+    )
 
 
 def test_gated_twister_statistics_identical():

@@ -1,5 +1,7 @@
 """Tests for the parameterized Mersenne-Twister."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,13 +51,67 @@ class TestReferenceOutputs:
         mt = MersenneTwister(seed=5489)
         assert [mt.next_u32() for _ in range(10)] == MT19937_SEED5489_FIRST10
 
+    def test_mt19937_seed5489_10000th_output(self):
+        """C++11 requires this value of ``std::mt19937`` (seed 5489);
+        it lies sixteen twists into the stream."""
+        assert MersenneTwister(seed=5489).generate(10000)[-1] == 4123659995
+        mt = MersenneTwister(seed=5489)
+        for _ in range(9999):
+            mt.next_u32()
+        assert mt.next_u32() == 4123659995
+
     def test_numpy_randomstate_agreement(self):
-        """Cross-validate against numpy's MT19937 for a different seed."""
+        """Cross-validate against numpy's MT19937 for a different seed,
+        over several twists, word by word and in blocks."""
         seed = 20170529
         legacy = np.random.RandomState(seed)
+        theirs = legacy.randint(0, 2**32, size=2500, dtype=np.uint64).tolist()
         ours = MersenneTwister(seed=seed)
-        theirs = legacy.randint(0, 2**32, size=100, dtype=np.uint64)
-        assert [ours.next_u32() for _ in range(100)] == theirs.tolist()
+        assert [ours.next_u32() for _ in range(2500)] == theirs
+        blocks = MersenneTwister(seed=seed)
+        assert np.concatenate(
+            [blocks.generate(1000), blocks.generate(1500)]
+        ).tolist() == theirs
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            MT19937_PARAMS,
+            MT521_PARAMS,
+            replace(MT521_PARAMS, m=11),
+            replace(MT521_PARAMS, m=16),
+        ],
+        ids=["mt19937", "mt521", "n17_m11", "n17_m16"],
+    )
+    def test_matches_the_sequential_recurrence(self, params):
+        """Both paths equal the recurrence run one word at a time, also
+        where ``m - 1 > n - m``: there a word reads a word updated
+        earlier in the same twist."""
+        expected = sequential_words(params, seed=11, count=2000)
+        mt = MersenneTwister(params, seed=11)
+        assert [mt.next_u32() for _ in range(2000)] == expected
+        assert MersenneTwister(params, seed=11).generate(2000).tolist() == expected
+
+
+def sequential_words(p: MTParams, seed: int, count: int) -> list[int]:
+    """The twisted-GFSR recurrence and tempering one word at a time, as
+    Matsumoto and Nishimura's reference code runs them."""
+    mask = p.word_mask
+    x = [seed & mask]
+    for i in range(1, p.n):
+        x.append((p.f * (x[-1] ^ (x[-1] >> (p.w - 2))) + i) & mask)
+    out = []
+    while len(out) < count:
+        for i in range(p.n):
+            y = (x[i] & p.upper_mask) | (x[(i + 1) % p.n] & p.lower_mask)
+            x[i] = x[(i + p.m) % p.n] ^ (y >> 1) ^ (p.a if y & 1 else 0)
+        for y in x:
+            y ^= (y >> p.u) & p.d
+            y ^= (y << p.s) & p.b & mask
+            y ^= (y << p.t) & p.c & mask
+            y ^= y >> p.l
+            out.append(y & mask)
+    return out[:count]
 
 
 class TestScalarApi:
