@@ -127,9 +127,9 @@ def measured_path_rates(
     elif transform in ("icdf_cuda", "icdf_fpga"):
         u = rng.random(samples)
         normal_accept = 1.0  # rejection-free at the modeled table depth
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
-        x = norm.ppf(u)
+        x = ndtri(u)
         arg = 2.0 * u - 1.0
         w = -np.log((1.0 - arg) * (1.0 + arg))
         erfinv_tail = float(np.mean(w >= CENTRAL_W_LIMIT))

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "GBMParams",
@@ -71,6 +70,8 @@ def black_scholes_price(
     params: GBMParams, strike: float, call: bool = True
 ) -> float:
     """Closed-form European option price (the validation target)."""
+    from scipy.special import ndtr
+
     if strike <= 0:
         raise ValueError("strike must be positive")
     s, r, sigma, t = (
@@ -81,8 +82,8 @@ def black_scholes_price(
     )
     d2 = d1 - sigma * math.sqrt(t)
     if call:
-        return s * norm.cdf(d1) - strike * math.exp(-r * t) * norm.cdf(d2)
-    return strike * math.exp(-r * t) * norm.cdf(-d2) - s * norm.cdf(-d1)
+        return s * ndtr(d1) - strike * math.exp(-r * t) * ndtr(d2)
+    return strike * math.exp(-r * t) * ndtr(-d2) - s * ndtr(-d1)
 
 
 def simulate_gbm_paths(

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from repro.core import (
     DecoupledConfig,
@@ -467,6 +466,8 @@ def run_fig6(
     stand-in for Matlab's ``gamrnd`` benchmark) with a KS test and a
     histogram over the same support.
     """
+    from scipy import stats
+
     rows = []
     series = {}
     for v in variances:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "TestOutcome",
@@ -53,6 +52,8 @@ def _as_bits(words: np.ndarray) -> np.ndarray:
 
 def monobit_test(words: np.ndarray) -> TestOutcome:
     """NIST frequency (monobit) test: ones and zeros balance."""
+    from scipy import stats
+
     bits = _as_bits(words)
     n = bits.size
     if n < 100:
@@ -64,6 +65,8 @@ def monobit_test(words: np.ndarray) -> TestOutcome:
 
 def block_frequency_test(words: np.ndarray, block_bits: int = 128) -> TestOutcome:
     """NIST block-frequency test: per-block ones proportion."""
+    from scipy import stats
+
     bits = _as_bits(words)
     n_blocks = bits.size // block_bits
     if n_blocks < 10:
@@ -77,6 +80,8 @@ def block_frequency_test(words: np.ndarray, block_bits: int = 128) -> TestOutcom
 
 def runs_test(words: np.ndarray) -> TestOutcome:
     """NIST runs test: number of uninterrupted bit runs."""
+    from scipy import stats
+
     bits = _as_bits(words)
     n = bits.size
     pi = bits.mean()
@@ -91,6 +96,8 @@ def runs_test(words: np.ndarray) -> TestOutcome:
 
 def serial_pairs_test(words: np.ndarray, bins: int = 16) -> TestOutcome:
     """2-D uniformity of consecutive (u_i, u_{i+1}) pairs (chi-square)."""
+    from scipy import stats
+
     u = np.asarray(words, dtype=np.uint64).astype(np.float64) / 2.0**32
     if u.size < 2 * bins * bins * 5:
         raise ValueError("not enough samples for the serial pairs test")
@@ -105,6 +112,8 @@ def serial_pairs_test(words: np.ndarray, bins: int = 16) -> TestOutcome:
 
 def spectral_lag_test(words: np.ndarray, max_lag: int = 8) -> TestOutcome:
     """Autocorrelation at small lags (catches short linear structure)."""
+    from scipy import stats
+
     u = np.asarray(words, dtype=np.uint64).astype(np.float64)
     n = u.size
     if n < 1000:
@@ -131,6 +140,8 @@ def gap_test(
     Gap lengths are geometric with p = hi - lo; the chi-square compares
     observed gap-length counts against that law.
     """
+    from scipy import stats
+
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError("need 0 <= lo < hi <= 1")
     u = np.asarray(words, dtype=np.uint64).astype(np.float64) / 2.0**32
@@ -163,6 +174,8 @@ def birthday_spacings_test(
     full 32-bit year (λ = 4).  Repeats over the stream and aggregates
     the exact two-sided Poisson tail.
     """
+    from scipy import stats
+
     w = np.asarray(words, dtype=np.uint64)
     reps = w.size // n_birthdays
     if reps < 4:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.fixedpoint import ApFixed, ApUInt
 
@@ -116,6 +115,8 @@ class IcdfFpga:
         the chord through the exact quantile at the subsegment endpoints
         (monotone, max error at the midpoint).
         """
+        from scipy.special import ndtri
+
         k = self.subseg_bits
         n_sub = 1 << k
         c0 = np.empty((self.segments + 1, n_sub), dtype=np.int64)
@@ -129,7 +130,7 @@ class IcdfFpga:
                 p_lo = 2.0 ** -(self.segments + 2)
             p_hi = 2.0 ** -(s + 1)
             edges = np.linspace(p_lo, p_hi, n_sub + 1)
-            mag = -norm.ppf(edges)  # positive magnitudes (p < 0.5)
+            mag = -ndtri(edges)  # positive magnitudes (p < 0.5)
             # subsegment index counts from p_lo upward (low x bits side);
             # within a subsegment the fraction t grows toward p_hi
             lo_edge = mag[:-1]

@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from repro.devices import (
     AttemptProfile,
+    PathRates,
     Segment,
     attempt_profile,
     measured_path_rates,
@@ -13,7 +16,36 @@ from repro.devices import (
     segment_cost,
 )
 from repro.devices.ops import OP_COSTS, OP_KINDS
+from repro.rng.erfinv import CENTRAL_W_LIMIT
+from repro.rng.gamma import marsaglia_tsang_constants
 from repro.rng.marsaglia_bray import POLAR_ACCEPTANCE
+from repro.serve import WorkloadSpec
+
+
+def icdf_rates_from_norm_ppf(variance, samples=400_000, seed=1234):
+    """The ICDF branch of ``measured_path_rates`` with norm.ppf quantiles."""
+    rng = np.random.default_rng(seed)
+    consts = marsaglia_tsang_constants(1.0 / variance)
+    u = rng.random(samples)
+    x = stats.norm.ppf(u)
+    arg = 2.0 * u - 1.0
+    w = -np.log((1.0 - arg) * (1.0 + arg))
+    u_rej = rng.random(x.size)
+    t = 1.0 + consts.c * x
+    v = t * t * t
+    positive = t > 0.0
+    squeeze_pass = u_rej < 1.0 - 0.0331 * x**4
+    with np.errstate(invalid="ignore", divide="ignore"):
+        full_pass = np.log(u_rej) < 0.5 * x * x + consts.d * (
+            1.0 - v + np.log(np.where(positive, v, 1.0))
+        )
+    return PathRates(
+        normal_accept=1.0,
+        gamma_accept=float(np.mean(positive & (squeeze_pass | full_pass))),
+        squeeze_miss=float(np.mean(positive & ~squeeze_pass)),
+        cube_negative=float(np.mean(~positive)),
+        erfinv_tail=float(np.mean(w >= CENTRAL_W_LIMIT)),
+    )
 
 
 class TestOpCosts:
@@ -82,6 +114,15 @@ class TestMeasuredRates:
     def test_unknown_transform(self):
         with pytest.raises(ValueError):
             measured_path_rates("box_muller_gpu", 1.39)
+
+    @pytest.mark.parametrize("variance", WorkloadSpec().variances)
+    @pytest.mark.parametrize("transform", ["icdf_fpga", "icdf_cuda"])
+    def test_icdf_rates_match_norm_ppf(self, transform, variance):
+        # the serving tier bills its ICDF batch keys from these rates:
+        # scipy.special.ndtri must give exactly what norm.ppf gave
+        assert measured_path_rates(transform, variance) == (
+            icdf_rates_from_norm_ppf(variance)
+        )
 
     def test_cached(self):
         a = measured_path_rates("marsaglia_bray", 1.39)

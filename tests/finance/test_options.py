@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro.finance import (
     GBMParams,
@@ -37,6 +38,25 @@ class TestBlackScholes:
         assert call == pytest.approx(
             PARAMS.spot - math.exp(-PARAMS.rate) * 1.0, abs=0.01
         )
+
+    @pytest.mark.parametrize("call", [True, False])
+    def test_matches_norm_cdf_formula(self, call):
+        # scipy.special.ndtr is what norm.cdf wraps: same value, same type
+        s, r, sigma, t = (
+            PARAMS.spot, PARAMS.rate, PARAMS.volatility, PARAMS.maturity,
+        )
+        disc = math.exp(-r * t)
+        for strike in np.linspace(1.0, 400.0, 200).tolist():
+            d1 = (math.log(s / strike) + (r + 0.5 * sigma**2) * t) / (
+                sigma * math.sqrt(t)
+            )
+            d2 = d1 - sigma * math.sqrt(t)
+            if call:
+                ref = s * stats.norm.cdf(d1) - strike * disc * stats.norm.cdf(d2)
+            else:
+                ref = strike * disc * stats.norm.cdf(-d2) - s * stats.norm.cdf(-d1)
+            price = black_scholes_price(PARAMS, strike, call=call)
+            assert (type(price), price) == (type(ref), ref)
 
     def test_validation(self):
         with pytest.raises(ValueError):

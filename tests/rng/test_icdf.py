@@ -60,6 +60,25 @@ class TestFpgaStyleConstruction:
     def test_rejection_probability(self):
         assert IcdfFpga(segments=10).rejection_probability == 2.0**-10
 
+    @pytest.mark.parametrize(
+        "segments,subseg_bits", [(28, 6), (1, 1), (20, 5), (30, 12)]
+    )
+    def test_rom_matches_norm_ppf_tables(self, segments, subseg_bits):
+        # the ROM is built with scipy.special.ndtri, which norm.ppf wraps:
+        # every coefficient equals the table norm.ppf builds
+        t = IcdfFpga(segments, subseg_bits)
+        n_sub = 1 << subseg_bits
+        for s in range(segments + 1):
+            edges = np.linspace(2.0 ** -(s + 2), 2.0 ** -(s + 1), n_sub + 1)
+            mag = -stats.norm.ppf(edges)
+            np.testing.assert_array_equal(
+                t._c0[s], np.round(mag[:-1] * t._scale).astype(np.int64)
+            )
+            np.testing.assert_array_equal(
+                t._c1[s],
+                np.round((mag[1:] - mag[:-1]) * t._scale).astype(np.int64),
+            )
+
 
 class TestFpgaStyleDecompose:
     def test_sign_bit(self):
