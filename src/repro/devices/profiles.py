@@ -11,16 +11,21 @@ each attempt as
   a per-partition probability ``1 - (1 - p)**width`` by the partition
   model.
 
-Per-lane probabilities come from the *measured* statistics of the
-:mod:`repro.rng` implementations (cached vectorized runs), not from
-hand-waving — e.g. the Marsaglia-Bray acceptance is measured ≈ π/4 and
-the squeeze-miss rate of Marsaglia-Tsang is measured per sector
-variance.
+Per-lane probabilities are *measured*, not hand-waved: a seeded numpy
+draw of normal candidates (Marsaglia-Bray polar pairs, or normal
+quantiles of uniforms for the ICDF paths) goes through the
+Marsaglia-Tsang attempt test, written out vectorized here rather than
+taken from :mod:`repro.rng`.  The Marsaglia-Bray acceptance comes out
+≈ π/4, and the squeeze-miss rate is counted per sector variance.  A
+process draws each normal family once and keeps only its squeeze
+misses, the candidates whose outcome a variance can change
+(:func:`measured_path_rates`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -102,29 +107,49 @@ class PathRates:
         return self.normal_accept * self.gamma_accept
 
 
-@lru_cache(maxsize=64)
-def measured_path_rates(
-    transform: str, variance: float, samples: int = 400_000, seed: int = 1234
-) -> PathRates:
-    """Measure the branch statistics with the real vectorized generators.
+@dataclass(frozen=True)
+class _NormalDraw:
+    """One seeded draw of a normal family, cut to what a variance can change.
 
-    The partition models consume these instead of closed-form guesses,
-    so a change in the RNG implementations propagates into the runtime
-    predictions automatically.
+    A squeeze pass needs ``0.0331 x**4 < 1``, so ``|x| < 2.35``, and every
+    shape has ``c <= 1/sqrt(6)`` (``alpha`` is boosted to at least 1), so
+    ``1 + c x > 0.04`` there: a squeeze pass is an accept at every
+    variance.  The draw counts those and keeps only the squeeze misses.
     """
-    rng = np.random.default_rng(seed)
-    consts = marsaglia_tsang_constants(1.0 / variance)
 
-    if transform == "marsaglia_bray":
+    normal_accept: float
+    erfinv_tail: float
+    candidates: int  # valid normal candidates
+    squeeze_passes: int
+    x: np.ndarray  # the squeeze misses' normals
+    u: np.ndarray  # and their rejection uniforms
+
+
+_FAMILIES = {"marsaglia_bray": "polar", "icdf_cuda": "quantile", "icdf_fpga": "quantile"}
+_DRAW_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=8)
+def _normal_draw(family: str, samples: int, seed: int) -> _NormalDraw:
+    draw = _draw_squeeze_misses(family, samples, seed)
+    # copied once the full-size temporaries are freed, the kept arrays sit
+    # low in the heap instead of pinning its top: a serving process that
+    # kept the slices peaked about 8 MB higher
+    return replace(draw, x=draw.x.copy(), u=draw.u.copy())
+
+
+def _draw_squeeze_misses(family: str, samples: int, seed: int) -> _NormalDraw:
+    rng = np.random.default_rng(seed)
+    if family == "polar":
         u1 = rng.uniform(-1.0, 1.0, samples)
         u2 = rng.uniform(-1.0, 1.0, samples)
         s = u1 * u1 + u2 * u2
         valid = (s > 0.0) & (s < 1.0)
         normal_accept = float(np.mean(valid))
-        factor = np.sqrt(-2.0 * np.log(np.where(valid, s, 0.5)) / np.where(valid, s, 0.5))
-        x = np.where(valid, u1 * factor, 0.0)[valid]
+        s = s[valid]
+        x = u1[valid] * np.sqrt(-2.0 * np.log(s) / s)
         erfinv_tail = 0.0
-    elif transform in ("icdf_cuda", "icdf_fpga"):
+    else:
         u = rng.random(samples)
         normal_accept = 1.0  # rejection-free at the modeled table depth
         from scipy.special import ndtri
@@ -133,25 +158,53 @@ def measured_path_rates(
         arg = 2.0 * u - 1.0
         w = -np.log((1.0 - arg) * (1.0 + arg))
         erfinv_tail = float(np.mean(w >= CENTRAL_W_LIMIT))
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-
     u_rej = rng.random(x.size)
+    miss = ~(u_rej < 1.0 - 0.0331 * (x * x) * (x * x))
+    return _NormalDraw(
+        normal_accept=normal_accept,
+        erfinv_tail=erfinv_tail,
+        candidates=x.size,
+        squeeze_passes=x.size - int(np.count_nonzero(miss)),
+        x=x[miss],
+        u=u_rej[miss],
+    )
+
+
+@lru_cache(maxsize=64)
+def measured_path_rates(
+    transform: str, variance: float, samples: int = 400_000, seed: int = 1234
+) -> PathRates:
+    """Measure the branch statistics of one transform at one variance.
+
+    ``samples`` seeded normal candidates (Marsaglia-Bray polar pairs, or
+    ``ndtri`` of uniforms for both ICDF transforms) each get one
+    Marsaglia-Tsang attempt.  The draw does not depend on the variance,
+    so a process makes it once per normal family and ``(samples,
+    seed)``, under a lock so that concurrent first callers share it, and
+    keeps only its squeeze misses (about 8 %, see :class:`_NormalDraw`);
+    each variance runs the cube and log test on those alone.
+    """
+    if transform not in _FAMILIES:
+        raise ValueError(f"unknown transform {transform!r}")
+    with _DRAW_LOCK:
+        draw = _normal_draw(_FAMILIES[transform], samples, seed)
+    consts = marsaglia_tsang_constants(1.0 / variance)
+    x, u = draw.x, draw.u
     t = 1.0 + consts.c * x
     v = t * t * t
     positive = t > 0.0
-    squeeze_pass = u_rej < 1.0 - 0.0331 * x**4
     with np.errstate(invalid="ignore", divide="ignore"):
-        full_pass = np.log(u_rej) < 0.5 * x * x + consts.d * (
+        full_pass = np.log(u) < 0.5 * x * x + consts.d * (
             1.0 - v + np.log(np.where(positive, v, 1.0))
         )
-    accepted = positive & (squeeze_pass | full_pass)
+    squeeze_misses = int(np.count_nonzero(positive))
+    accepted = draw.squeeze_passes + int(np.count_nonzero(positive & full_pass))
     return PathRates(
-        normal_accept=normal_accept,
-        gamma_accept=float(np.mean(accepted)),
-        squeeze_miss=float(np.mean(positive & ~squeeze_pass)),
-        cube_negative=float(np.mean(~positive)),
-        erfinv_tail=erfinv_tail,
+        normal_accept=draw.normal_accept,
+        gamma_accept=accepted / draw.candidates,
+        squeeze_miss=squeeze_misses / draw.candidates,
+        cube_negative=(x.size - squeeze_misses) / draw.candidates,
+        erfinv_tail=draw.erfinv_tail,
     )
 
 

@@ -33,6 +33,7 @@ from repro.serve.loadgen import (
     TierSpec,
     WorkloadSpec,
     generate_trace,
+    job_from_event,
     offered_load_sweep,
     replay_trace,
 )
@@ -208,6 +209,10 @@ def run_serve_chaos(
         deadline_fraction=0.2, size_min=2048, size_cap=16384,
     )
     trace = generate_trace(spec)
+    # price each batch key first: measuring its path rates inside the
+    # wall-clock replay would stall the sender
+    for job in {j.batch_key(): j for j in map(job_from_event, trace)}.values():
+        job.rejection_rate()
     with ShardedEngine(
         n_shards=n_shards,
         n_workers=workers_per_shard,

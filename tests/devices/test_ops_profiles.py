@@ -1,6 +1,8 @@
 """Tests for op cost tables and kernel attempt profiles."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,20 +18,40 @@ from repro.devices import (
     segment_cost,
 )
 from repro.devices.ops import OP_COSTS, OP_KINDS
+from repro.devices.profiles import _normal_draw
 from repro.rng.erfinv import CENTRAL_W_LIMIT
 from repro.rng.gamma import marsaglia_tsang_constants
 from repro.rng.marsaglia_bray import POLAR_ACCEPTANCE
 from repro.serve import WorkloadSpec
 
+#: the serving tier's variances, the boost boundary and §IV-E's spot values
+RATE_VARIANCES = WorkloadSpec().variances + (0.1, 0.99, 1.0, 100.0)
+RATE_TRANSFORMS = ["icdf_fpga", "icdf_cuda", "marsaglia_bray"]
 
-def icdf_rates_from_norm_ppf(variance, samples=400_000, seed=1234):
-    """The ICDF branch of ``measured_path_rates`` with norm.ppf quantiles."""
+
+def full_array_rates(transform, variance, samples=400_000, seed=1234):
+    """Reference: every candidate of a fresh draw through the whole
+    Marsaglia-Tsang attempt, with ``norm.ppf`` quantiles on the ICDF
+    paths."""
     rng = np.random.default_rng(seed)
     consts = marsaglia_tsang_constants(1.0 / variance)
-    u = rng.random(samples)
-    x = stats.norm.ppf(u)
-    arg = 2.0 * u - 1.0
-    w = -np.log((1.0 - arg) * (1.0 + arg))
+    if transform == "marsaglia_bray":
+        u1 = rng.uniform(-1.0, 1.0, samples)
+        u2 = rng.uniform(-1.0, 1.0, samples)
+        s = u1 * u1 + u2 * u2
+        valid = (s > 0.0) & (s < 1.0)
+        normal_accept = float(np.mean(valid))
+        s_ok = np.where(valid, s, 0.5)
+        factor = np.sqrt(-2.0 * np.log(s_ok) / s_ok)
+        x = np.where(valid, u1 * factor, 0.0)[valid]
+        erfinv_tail = 0.0
+    else:
+        u = rng.random(samples)
+        normal_accept = 1.0
+        x = stats.norm.ppf(u)
+        arg = 2.0 * u - 1.0
+        w = -np.log((1.0 - arg) * (1.0 + arg))
+        erfinv_tail = float(np.mean(w >= CENTRAL_W_LIMIT))
     u_rej = rng.random(x.size)
     t = 1.0 + consts.c * x
     v = t * t * t
@@ -40,12 +62,20 @@ def icdf_rates_from_norm_ppf(variance, samples=400_000, seed=1234):
             1.0 - v + np.log(np.where(positive, v, 1.0))
         )
     return PathRates(
-        normal_accept=1.0,
+        normal_accept=normal_accept,
         gamma_accept=float(np.mean(positive & (squeeze_pass | full_pass))),
         squeeze_miss=float(np.mean(positive & ~squeeze_pass)),
         cube_negative=float(np.mean(~positive)),
-        erfinv_tail=float(np.mean(w >= CENTRAL_W_LIMIT)),
+        erfinv_tail=erfinv_tail,
     )
+
+
+def assert_identical(got, want):
+    """Equal values and equal types, field by field."""
+    assert got == want
+    assert [type(f) for f in vars(got).values()] == [
+        type(f) for f in vars(want).values()
+    ]
 
 
 class TestOpCosts:
@@ -115,14 +145,43 @@ class TestMeasuredRates:
         with pytest.raises(ValueError):
             measured_path_rates("box_muller_gpu", 1.39)
 
-    @pytest.mark.parametrize("variance", WorkloadSpec().variances)
-    @pytest.mark.parametrize("transform", ["icdf_fpga", "icdf_cuda"])
+    @pytest.mark.parametrize("variance", RATE_VARIANCES)
+    @pytest.mark.parametrize("transform", RATE_TRANSFORMS)
     def test_icdf_rates_match_norm_ppf(self, transform, variance):
-        # the serving tier bills its ICDF batch keys from these rates:
-        # scipy.special.ndtri must give exactly what norm.ppf gave
-        assert measured_path_rates(transform, variance) == (
-            icdf_rates_from_norm_ppf(variance)
+        # the serving tier bills every batch key from these rates: one
+        # shared draw per normal family, cut to the candidates a variance
+        # can change, and scipy.special.ndtri in place of norm.ppf must
+        # give exactly what the full-array measurement gives
+        assert_identical(
+            measured_path_rates(transform, variance),
+            full_array_rates(transform, variance),
         )
+
+    @pytest.mark.parametrize("variance", RATE_VARIANCES)
+    @pytest.mark.parametrize("transform", RATE_TRANSFORMS)
+    def test_rates_match_full_array_at_another_draw(self, transform, variance):
+        assert_identical(
+            measured_path_rates(transform, variance, 50_000, 7),
+            full_array_rates(transform, variance, 50_000, 7),
+        )
+
+    def test_concurrent_first_asks_share_one_draw(self):
+        variances = RATE_VARIANCES[:8]
+        measured_path_rates.cache_clear()
+        _normal_draw.cache_clear()
+        start = threading.Barrier(len(variances))
+
+        def ask(variance):
+            start.wait()
+            return measured_path_rates("marsaglia_bray", variance)
+
+        with ThreadPoolExecutor(len(variances)) as pool:
+            concurrent = list(pool.map(ask, variances))
+        assert _normal_draw.cache_info().misses == 1
+        measured_path_rates.cache_clear()
+        _normal_draw.cache_clear()
+        serial = [measured_path_rates("marsaglia_bray", v) for v in variances]
+        assert concurrent == serial
 
     def test_cached(self):
         a = measured_path_rates("marsaglia_bray", 1.39)
