@@ -12,44 +12,52 @@ payload measured in hundreds of µs.
 """
 
 import time
+from contextlib import nullcontext
 
 from repro.engine.jobs import GammaJob
 from repro.obs import RequestTraceLog, use_request_log
 from repro.serve.gateway import AdmissionGateway, TenantPolicy
 from repro.serve.sharding import ShardedEngine
 
-N_JOBS = 400
+WAVE = 400  # jobs sent together, about 0.15 s at ~2,700 jobs/s
+#: timed seconds per run, in whole waves: a single wave is too short to
+#: outlast the tier's start-up and the host's swings (consecutive
+#: single-wave runs differed by -19 % to +25 % on a shared 2-vCPU host)
+MIN_RUN_S = 1.0
 VARIANCES = (0.35, 1.39, 4.45)  # three batch keys, spread over shards
 
 
-def _throughput(log) -> float:
-    """Best jobs/s for one gateway→tier run with ``log`` installed."""
+def _throughput(log) -> tuple[float, int]:
+    """Jobs/s and jobs sent for one gateway→tier run with ``log`` installed.
+
+    Waves of ``WAVE`` jobs go through until ``MIN_RUN_S`` of admit and
+    wait time has passed; building a wave's jobs is not timed.
+    """
     with ShardedEngine(
         n_shards=2, n_workers=2, queue_depth=256, max_batch=8
     ) as tier:
         gateway = AdmissionGateway(
             tier, default_policy=TenantPolicy(rate=1e6, burst=1e6)
         )
-        jobs = [
-            GammaJob(
-                config="Config1",
-                variance=VARIANCES[i % len(VARIANCES)],
-                n_samples=2048,
-                seed=i,
-            )
-            for i in range(N_JOBS)
-        ]
-        t0 = time.perf_counter()
-        if log is not None:
-            with use_request_log(log):
+        sent, elapsed = 0, 0.0
+        while elapsed < MIN_RUN_S:
+            jobs = [
+                GammaJob(
+                    config="Config1",
+                    variance=VARIANCES[i % len(VARIANCES)],
+                    n_samples=2048,
+                    seed=sent + i,
+                )
+                for i in range(WAVE)
+            ]
+            t0 = time.perf_counter()
+            with use_request_log(log) if log is not None else nullcontext():
                 handles = [gateway.admit_sync("t", j) for j in jobs]
                 for h in handles:
                     h.result(timeout=60)
-        else:
-            handles = [gateway.admit_sync("t", j) for j in jobs]
-            for h in handles:
-                h.result(timeout=60)
-        return N_JOBS / (time.perf_counter() - t0)
+            elapsed += time.perf_counter() - t0
+            sent += WAVE
+        return sent / elapsed, sent
 
 
 def test_tracing_on_costs_under_ten_percent():
@@ -57,9 +65,10 @@ def test_tracing_on_costs_under_ten_percent():
     # lands on both sides instead of reading as tracing cost
     off, on, logs = [], [], []
     for _ in range(5):
-        off.append(_throughput(None))
+        off.append(_throughput(None)[0])
         logs.append(RequestTraceLog())
-        on.append(_throughput(logs[-1]))
+        rate, sent = _throughput(logs[-1])
+        on.append(rate)
     off, on = max(off), max(on)
     cost = 1.0 - on / off
     print(
@@ -67,7 +76,7 @@ def test_tracing_on_costs_under_ten_percent():
         f"cost {100 * cost:+.1f}%"
     )
     # every traced run really captured every request
-    assert logs[-1].snapshot()["minted"] == N_JOBS
+    assert logs[-1].snapshot()["minted"] == sent
     assert on > off * 0.90, (
         f"always-on tracing costs {100 * cost:.1f}% throughput (> 10%)"
     )

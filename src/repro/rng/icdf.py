@@ -20,6 +20,10 @@ The FPGA path reports a validity flag: inputs falling beyond the deepest
 segment of the table (probability ≈ 2**-(SEGMENTS+1)) cannot be resolved
 at the implemented precision and are *rejected*, which is why Listing 2
 guards ``ICDF`` with the same ``n0_valid`` mechanism as Marsaglia-Bray.
+
+:func:`normal_quantile` is the exact float64 quantile behind the FPGA
+ROM and behind the ICDF normals whose branch rates
+:func:`repro.devices.measured_path_rates` measures.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.fixedpoint import ApFixed, ApUInt
 from repro.rng.erfinv import erfinv
 
 __all__ = [
+    "normal_quantile",
     "icdf_cuda_style",
     "icdf_fpga_style",
     "IcdfFpga",
@@ -50,6 +55,90 @@ ICDF_SUBSEG_BITS = 6
 #: fixed-point format of the stored coefficients: ApFixed<32, 32-FRAC>
 ICDF_FRAC_BITS = 24
 
+# Wichura's AS241 (PPND16) rational approximations, highest power
+# first, digit for digit as statistics.NormalDist.inv_cdf writes them.
+# Central region |p - 0.5| <= 0.425, in r = 0.180625 - (p - 0.5)**2:
+_CENTRAL_NUM = (
+    2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+    4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+    1.3314166789178437745e2, 3.3871328727963666080e0,
+)
+_CENTRAL_DEN = (
+    5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+    2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+    4.2313330701600911252e1, 1.0,
+)
+# tails, in r = sqrt(-log(min(p, 1 - p))): r <= 5, shifted by 1.6 ...
+_NEAR_NUM = (
+    7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+    1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+    4.6303378461565452959e0, 1.4234371107496835773e0,
+)
+_NEAR_DEN = (
+    1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+    1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+    2.0531916266377588219e0, 1.0,
+)
+# ... and r > 5, shifted by 5
+_FAR_NUM = (
+    2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+    2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+    5.4637849111641143699e0, 6.6579046435011037772e0,
+)
+_FAR_DEN = (
+    2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+    7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+    5.9983220655588793769e-1, 1.0,
+)
+
+
+def _polynomial(coefficients, r: np.ndarray) -> np.ndarray:
+    """Horner's rule in the order AS241 writes it, one rounding per step."""
+    acc = coefficients[0] * r
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= r
+    acc += coefficients[-1]
+    return acc
+
+
+def normal_quantile(p) -> np.ndarray:
+    """Standard normal quantile of float64 probabilities (``Phi^{-1}``).
+
+    Wichura's AS241 (PPND16), the algorithm behind
+    :meth:`statistics.NormalDist.inv_cdf`, in its operation order and
+    vectorized: within a few ULP of the stdlib (which uses libm's
+    ``log``) and of ``scipy.special.ndtri``, without importing scipy.
+    Like ``ndtri`` it returns ``-inf``/``+inf`` at 0/1 and NaN outside
+    [0, 1].
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = p - 0.5
+    x = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    num = _polynomial(_CENTRAL_NUM, r)
+    num *= qc
+    num /= _polynomial(_CENTRAL_DEN, r)
+    x[central] = num
+
+    tail = ~central
+    qt, pt = q[tail], p[tail]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.where(qt <= 0.0, pt, 1.0 - pt)))
+    mag = np.empty_like(r)
+    near = r <= 5.0
+    rn = r[near] - 1.6
+    mag[near] = _polynomial(_NEAR_NUM, rn) / _polynomial(_NEAR_DEN, rn)
+    far = ~near
+    rf = r[far] - 5.0
+    with np.errstate(invalid="ignore"):  # inf / inf at p = 0 and 1
+        mag[far] = _polynomial(_FAR_NUM, rf) / _polynomial(_FAR_DEN, rf)
+    mag[(pt == 0.0) | (pt == 1.0)] = np.inf
+    x[tail] = np.where(qt < 0.0, -mag, mag)
+    return x
+
 
 def icdf_cuda_style(u):
     """Normal ICDF via Giles' erfinv: ``Phi^{-1}(u) = sqrt(2)·erfinv(2u-1)``.
@@ -65,6 +154,17 @@ def icdf_cuda_style(u):
     z = _SQRT2 * erfinv(2.0 * u_arr - 1.0)
     z = z.astype(np.float32)
     return float(z[0]) if scalar else z
+
+
+def _segment_edges(segments: int, subseg_bits: int) -> np.ndarray:
+    """Subsegment edges of every segment, one row per segment.
+
+    Row ``s`` splits ``[2**-(s+2), 2**-(s+1)]`` into ``2**subseg_bits``
+    equal parts, the same points a per-segment ``np.linspace`` gives.
+    """
+    s = np.arange(segments + 1)
+    lo, hi = np.ldexp(1.0, -(s + 2)), np.ldexp(1.0, -(s + 1))
+    return np.linspace(lo, hi, (1 << subseg_bits) + 1, axis=1)
 
 
 class IcdfFpga:
@@ -111,34 +211,19 @@ class IcdfFpga:
 
         Segment ``s`` covers the probability interval
         ``[2**-(s+2), 2**-(s+1))`` of the *lower half* p < 0.5; its
-        ``2**k`` subsegments split it uniformly.  Linear coefficients are
-        the chord through the exact quantile at the subsegment endpoints
-        (monotone, max error at the midpoint).
+        ``2**k`` subsegments split it uniformly.  The terminal segment
+        ``s = segments`` collapses everything deeper than the last
+        resolvable boundary into one clamped cell.  Linear coefficients
+        are the chord through :func:`normal_quantile` at the subsegment
+        endpoints (monotone, max error at the midpoint).
         """
-        from scipy.special import ndtri
-
-        k = self.subseg_bits
-        n_sub = 1 << k
-        c0 = np.empty((self.segments + 1, n_sub), dtype=np.int64)
-        c1 = np.empty((self.segments + 1, n_sub), dtype=np.int64)
-        for s in range(self.segments + 1):
-            if s < self.segments:
-                p_lo = 2.0 ** -(s + 2)
-            else:
-                # terminal segment: everything deeper than the last
-                # resolvable boundary collapses into one clamped cell
-                p_lo = 2.0 ** -(self.segments + 2)
-            p_hi = 2.0 ** -(s + 1)
-            edges = np.linspace(p_lo, p_hi, n_sub + 1)
-            mag = -ndtri(edges)  # positive magnitudes (p < 0.5)
-            # subsegment index counts from p_lo upward (low x bits side);
-            # within a subsegment the fraction t grows toward p_hi
-            lo_edge = mag[:-1]
-            hi_edge = mag[1:]
-            c0[s] = np.round(lo_edge * self._scale).astype(np.int64)
-            c1[s] = np.round((hi_edge - lo_edge) * self._scale).astype(np.int64)
-        self._c0 = c0
-        self._c1 = c1
+        mag = -normal_quantile(_segment_edges(self.segments, self.subseg_bits))
+        # subsegment index counts from p_lo upward (low x bits side);
+        # within a subsegment the fraction t grows toward p_hi
+        lo_edge = mag[:, :-1]
+        hi_edge = mag[:, 1:]
+        self._c0 = np.round(lo_edge * self._scale).astype(np.int64)
+        self._c1 = np.round((hi_edge - lo_edge) * self._scale).astype(np.int64)
 
     # -- bit-level evaluation -------------------------------------------------------
 

@@ -184,17 +184,37 @@ class AdmissionGateway:
         )
         self._buckets: dict = {}
         self._buckets_lock = threading.Lock()
+        self._sweep_at = 0  # twice the map's size after the last sweep
 
     # -- policy ------------------------------------------------------------------
 
-    def bucket_for(self, tenant) -> TokenBucket:
+    def _take_token(self, tenant, now: float | None) -> bool:
+        """Spend one token of ``tenant``'s bucket, made on first use.
+
+        A bucket that has refilled to ``burst`` admits exactly like a new
+        one, so once the map has more than doubled since the last sweep,
+        the next new tenant sweeps every full bucket out.  The map then
+        holds the tenants that spent a token within one refill time, not
+        every tenant ever seen, at amortized O(1) per admission.  Lookup,
+        sweep, spend and their clock reads share one lock, so no
+        admission spends from a bucket that a sweep has dropped, and no
+        sweep runs at a later time than the spend after it.
+        """
         with self._buckets_lock:
             bucket = self._buckets.get(tenant)
             if bucket is None:
+                if len(self._buckets) > self._sweep_at:
+                    t = time.monotonic() if now is None else now
+                    self._buckets = {
+                        name: held
+                        for name, held in self._buckets.items()
+                        if held.available(t) < held.burst
+                    }
+                    self._sweep_at = 2 * len(self._buckets)
                 policy = self.policies.get(tenant, self.default_policy)
                 bucket = TokenBucket(rate=policy.rate, burst=policy.burst)
                 self._buckets[tenant] = bucket
-            return bucket
+            return bucket.try_acquire(now=now)
 
     def would_miss_deadline(
         self, job: Job, now: float | None = None
@@ -230,7 +250,7 @@ class AdmissionGateway:
         ctx = job.trace
         if ctx is not None:
             ctx.emit("gateway", "admit", t=t, tenant=tenant)
-        if not self.bucket_for(tenant).try_acquire(now=now):
+        if not self._take_token(tenant, now):
             self.metrics.counter("tenant_throttled").inc()
             if ctx is not None:
                 ctx.emit(
@@ -329,5 +349,5 @@ class AdmissionGateway:
     def snapshot(self) -> dict:
         out = self.metrics.snapshot()
         out["gateway.service_estimate_s"] = self.estimate.value
-        out["gateway.tenants_seen"] = len(self._buckets)
+        out["gateway.live_tenant_buckets"] = len(self._buckets)
         return out

@@ -1,11 +1,17 @@
-"""Tests for the two ICDF transforms (CUDA-style and FPGA bit-level)."""
+"""Tests for the two ICDF transforms (CUDA-style and FPGA bit-level)
+and the float64 normal quantile behind the ROM and the path rates."""
+
+import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
 from repro.rng import IcdfFpga, icdf_cuda_style, icdf_fpga_style
+from repro.rng.icdf import _segment_edges, normal_quantile
 
 
 class TestCudaStyle:
@@ -196,3 +202,91 @@ def test_prop_lower_half_negative(u):
         # p < 0.5 → non-positive quantile (fixed-point rounding can
         # flatten the near-median magnitude to -0.0)
         assert v <= 0.0
+
+
+def ulp_distance(a, b) -> np.ndarray:
+    """Units in the last place between two float64 arrays, across zero too."""
+
+    def ordinal(x):
+        bits = np.asarray(x, dtype=np.float64).view(np.int64)
+        return np.where(bits < 0, np.iinfo(np.int64).min - bits, bits)
+
+    return np.abs(ordinal(a) - ordinal(b))
+
+
+def stdlib_quantile(p) -> np.ndarray:
+    inv_cdf = statistics.NormalDist().inv_cdf
+    return np.array([inv_cdf(float(v)) for v in np.ravel(p)]).reshape(np.shape(p))
+
+
+def around(p: float, steps: int = 128) -> np.ndarray:
+    """``p`` and its ``steps`` nearest float64 neighbours on each side.
+
+    128 reach across the r = 5 branch point: near p = exp(-25), r =
+    sqrt(-log p) moves one ULP per about 40 ULP of p.
+    """
+    out = [p]
+    lo = hi = p
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+        out += [lo, hi]
+    return np.sort(np.array(out))
+
+
+class TestNormalQuantile:
+    """AS241 in numpy against the stdlib's AS241 and scipy's ndtri."""
+
+    #: the uniforms of the ICDF path-rate draw, and the ROM's edges
+    INPUTS = {
+        "path-rate draw": np.random.default_rng(1234).random(400_000),
+        "rom edges 28x6": _segment_edges(28, 6),
+        "rom edges 30x12": _segment_edges(30, 12),
+    }
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_matches_stdlib_as241(self, name):
+        p = self.INPUTS[name]
+        assert ulp_distance(normal_quantile(p), stdlib_quantile(p)).max() <= 8
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_matches_scipy_ndtri(self, name):
+        p = self.INPUTS[name]
+        assert ulp_distance(normal_quantile(p), ndtri(p)).max() <= 16
+
+    def test_shape_follows_input(self):
+        assert normal_quantile(_segment_edges(3, 2)).shape == (4, 5)
+        assert normal_quantile(0.975).shape == ()
+        assert float(normal_quantile(0.975)) == pytest.approx(1.959963984540054)
+
+    def test_median_is_exactly_zero(self):
+        assert normal_quantile(0.5) == 0.0
+
+    def test_odd_symmetry(self):
+        # dyadic p down to 2**-53, where 1 - p is exact
+        p = np.concatenate(
+            [np.arange(1, 1 << 12) / (1 << 13), np.ldexp(1.0, -np.arange(2, 54))]
+        )
+        np.testing.assert_array_equal(normal_quantile(1.0 - p), -normal_quantile(p))
+
+    def test_infinite_at_zero_and_one_nan_outside(self):
+        x = normal_quantile(np.array([0.0, 1.0, -0.0, -1e-300, 1.0 + 2**-52, np.nan]))
+        assert x[0] == -np.inf and x[1] == np.inf and x[2] == -np.inf
+        assert np.isnan(x[3:]).all()
+
+    @pytest.mark.parametrize(
+        "edge",
+        [0.5 - 0.425, 0.5 + 0.425, math.exp(-25.0), 1.0 - math.exp(-25.0)],
+        ids=["central-low", "central-high", "r=5-low", "r=5-high"],
+    )
+    def test_branch_boundaries(self, edge):
+        p = around(edge)
+        # the neighbourhood straddles the branch point
+        q = np.abs(p - 0.5)
+        if edge in (0.5 - 0.425, 0.5 + 0.425):
+            assert (q <= 0.425).any() and (q > 0.425).any()
+        else:
+            r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+            assert (r <= 5.0).any() and (r > 5.0).any()
+        x = normal_quantile(p)
+        assert ulp_distance(x, stdlib_quantile(p)).max() <= 8
+        assert ulp_distance(x, ndtri(p)).max() <= 16

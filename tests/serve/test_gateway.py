@@ -1,6 +1,8 @@
 """Admission gateway: token buckets, pre-shedding, asyncio bridge."""
 
 import asyncio
+import sys
+import threading
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.serve.gateway import (
     TokenBucket,
 )
 from repro.engine.queue import JobQueueFull
+from repro.serve.loadgen import WorkloadSpec, generate_trace, job_from_event
 
 
 def _job(seed=1, n=256, deadline_s=None):
@@ -126,6 +129,95 @@ class TestAdmissionSync:
         gw.admit_sync("t", _job(seed=3), now=2.0)
 
 
+class TestTenantMap:
+    """Full buckets leave the map; admission does not change."""
+
+    def test_same_decisions_as_an_unbounded_map(self):
+        # Zipf tenants at 2,000 jobs/s against 5 jobs/s per tenant: the
+        # heavy hitters are throttled, the long tail is not
+        events = generate_trace(
+            WorkloadSpec(seed=11, n_jobs=40_000, rate_jps=2000.0, size_min=256)
+        )
+        policy = TenantPolicy(rate=5.0, burst=3.0)
+        gw = AdmissionGateway(
+            _RecordingTier(), default_policy=policy, deadline_headroom=0.0
+        )
+        unbounded: dict = {}
+        decisions, expected, peaks = [], [], [0, 0]
+        for i, event in enumerate(events):
+            try:
+                gw.admit_sync(event.tenant, job_from_event(event), now=event.t)
+                decisions.append(True)
+            except TenantThrottled:
+                decisions.append(False)
+            bucket = unbounded.setdefault(
+                event.tenant, TokenBucket(policy.rate, policy.burst)
+            )
+            expected.append(bucket.try_acquire(now=event.t))
+            half = 2 * i // len(events)
+            peaks[half] = max(peaks[half], len(gw._buckets))
+        assert decisions == expected
+        assert 0.2 < decisions.count(False) / len(events) < 0.9
+        # the map follows the tenants active within a refill time, not
+        # every tenant seen: it does not grow over the second half
+        assert peaks[1] <= 1.25 * peaks[0]
+        assert max(peaks) < len(unbounded) / 8
+        snap = gw.snapshot()
+        assert snap["gateway.live_tenant_buckets"] == len(gw._buckets)
+        assert snap["gateway.tenant_throttled"] == decisions.count(False)
+
+    def test_concurrent_admissions_never_double_a_burst(self):
+        # every round starts one refill later, so each bucket is full
+        # again: old tenants are spent afresh while each round's new
+        # tenants grow the map and sweep those not yet spent.  Every
+        # tenant gets exactly one burst per round, so no admission ran
+        # on a bucket that a sweep had dropped
+        gw = AdmissionGateway(
+            _RecordingTier(),
+            default_policy=TenantPolicy(rate=1.0, burst=3.0),
+            deadline_headroom=0.0,
+        )
+        old = [f"old{i}" for i in range(64)]
+        counts: dict = {}
+        counts_lock = threading.Lock()
+
+        def hammer(tenants, now):
+            for _ in range(4):
+                for tenant in tenants:
+                    try:
+                        gw.admit_sync(tenant, _job(), now=now)
+                    except TenantThrottled:
+                        continue
+                    with counts_lock:
+                        counts[now, tenant] = counts.get((now, tenant), 0) + 1
+
+        expected = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r in range(24):
+                now = 100.0 * r
+                new = [[f"new{r}.{k}.{i}" for i in range(32)] for k in range(4)]
+                threads = [
+                    threading.Thread(target=hammer, args=(group, now))
+                    for group in [old] * 4 + new
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                expected.update(
+                    {(now, t): 3 for t in old + [t for g in new for t in g]}
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == expected
+        # a sweep keeps at most one round's spent buckets, and the map
+        # grows to twice that before the next
+        assert len(gw._buckets) <= 2 * (len(old) + 4 * 32) + 1
+
+
 class TestAsyncBridge:
     def test_submit_and_await_result(self):
         async def scenario():
@@ -170,4 +262,4 @@ class TestAsyncBridge:
         assert gw.estimate.value > 0.0
         snap = gw.snapshot()
         assert snap["gateway.completed"] == 4
-        assert snap["gateway.tenants_seen"] == 1
+        assert snap["gateway.live_tenant_buckets"] == 1

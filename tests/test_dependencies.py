@@ -7,7 +7,11 @@ statements, so an import inside a function counts too.
 
 scipy stays off the import path: importing ``scipy.stats`` takes longer
 than importing the whole package, and every experiment, campaign worker
-and benchmark child starts a fresh process.
+and benchmark child starts a fresh process.  It also stays off the
+serving path: a tier that prices every serving batch key, Table I's
+ICDF designs included, and an ICDF simulator kernel's ROM use numpy's
+normal quantile, so neither loads scipy (``scipy.special`` alone took
+about 0.3 s).
 """
 
 import ast
@@ -59,16 +63,13 @@ def test_every_third_party_import_is_declared():
     assert not undeclared, f"imported but not in pyproject.toml: {undeclared}"
 
 
-def test_importing_the_package_loads_no_scipy():
-    # a child process: other test modules import scipy into this one
-    modules = ["repro", "repro.__main__"] + sorted(
-        f"repro.{init.parent.name}"
-        for init in (ROOT / "src" / "repro").glob("*/__init__.py")
-    )
-    code = (
-        "import importlib, sys\n"
-        f"for name in {modules!r}:\n"
-        "    importlib.import_module(name)\n"
+def scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once ``code`` has run in a fresh child.
+
+    A child process, because other test modules import scipy into this one.
+    """
+    code += (
+        "\nimport sys\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -76,4 +77,43 @@ def test_importing_the_package_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]", f"importing the package loaded {proc.stdout}"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_package_loads_no_scipy():
+    modules = ["repro", "repro.__main__"] + sorted(
+        f"repro.{init.parent.name}"
+        for init in (ROOT / "src" / "repro").glob("*/__init__.py")
+    )
+    code = (
+        "import importlib\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)"
+    )
+    loaded = scipy_modules_after(code)
+    assert loaded == "[]", f"importing the package loaded {loaded}"
+
+
+def test_serving_every_batch_key_and_the_icdf_rom_load_no_scipy():
+    code = """
+from repro.devices import measured_path_rates
+from repro.engine.jobs import GammaJob
+from repro.rng import IcdfFpga
+from repro.serve import WorkloadSpec
+from repro.serve.sharding import ShardedEngine
+
+spec = WorkloadSpec()
+keys = [(c, v) for c in spec.configs for v in spec.variances]
+with ShardedEngine(n_shards=1, n_workers=1, queue_depth=64) as tier:
+    handles = [
+        tier.submit(GammaJob(config=c, variance=v, n_samples=256, seed=i))
+        for i, (c, v) in enumerate(keys)
+    ]
+    for handle in handles:
+        handle.result(timeout=60)
+# one rate per (transform, variance): the tier priced every key
+assert measured_path_rates.cache_info().currsize == 2 * len(spec.variances)
+IcdfFpga()
+"""
+    loaded = scipy_modules_after(code)
+    assert loaded == "[]", f"serving and the ICDF ROM loaded {loaded}"
