@@ -60,19 +60,28 @@ drained (a ``limit_max`` cap that closes S early).  An
 :class:`~repro.core.pricing.AggregatingTransferEngine` folds each value in
 as it is read, so its ``total`` is bit-identical.
 
+**Constant-source runs.**  A :class:`~repro.core.transfer.DummySource`
+chain takes each steady stretch in one step.  When S is empty, the leaf
+is reading and P has no write pending, let p be P's next tick and e the
+leaf's.  If ``p <= e < p + D_S``, value i of the run is written at
+``p + i`` and read at ``e + i``, until the burst fills, P's count runs
+out or the run's limit is reached.  Everything else steps value by
+value.
+
 **Wakes.**  The read that fills a burst is its submission.  Each leaf is
 its own calendar entry (a :class:`TreeLeaf`) at its engine's
 topological index, so each submission reaches the channel at its own
 position in the cycle, in the reference loop's order, though the two
 leaves of a tree sit at different positions with other engines between
-them.  At the wake the leaf packs the burst's values
-(:func:`~repro.fixedpoint.pack_floats`), calls ``channel.submit`` and gets
-the completion from ``predict_done``, which under FIFO arbitration is
-fixed once submitted.  Only the reads after a burst not yet submitted
-depend on its completion, and they lie at least two cycles past its
-submission, so between wakes the tree is worked out in closed form up
-to its earliest unsubmitted burst and beyond, as far as nothing unknown
-is needed; every stat is credited in bulk when the tree settles.
+them.  At the wake the leaf packs the burst's values into float32 lanes
+(:meth:`~repro.core.transfer.TransferEngine._submit`), calls
+``channel.submit`` and gets the completion from ``predict_done``, which
+under FIFO arbitration is fixed once submitted.  Only the reads after a
+burst not yet submitted depend on its completion, and they lie at least
+two cycles past its submission, so between wakes the tree is worked out
+in closed form up to its earliest unsubmitted burst and beyond, as far
+as nothing unknown is needed; every stat is credited in bulk when the
+tree settles.
 
 **Exits.**  A tree never computes past the run's ``max_cycles``, so an
 abort there writes the exact partial state back into every process and
@@ -677,6 +686,40 @@ class FusedTree:
                 if p_at >= limit:
                     break
                 if not gamma:
+                    if reading and not buf and 0 <= e_at - p_at < depth:
+                        # a steady run: value i is written at p_at + i and
+                        # read at e_at + i.  The stream is empty, so the
+                        # reads before the run lie before e_at, and read
+                        # cycles rise by at least one per value: the read
+                        # that frees value i's slot lies at or before
+                        # e_at - depth + i, before p_at + i
+                        m = min(room, left, limit - e_at)
+                        if m > 0:
+                            if traced:
+                                self._mark_p(p_at, _COMPUTE)
+                                if room > 1:
+                                    leaf.mark(e_at, _COMPUTE)
+                            if gauge is not None:
+                                fifo.pw.extend(range(p_at, p_at + m))
+                            rd.extend(range(e_at, e_at + m))
+                            run = [dummy] * m
+                            values.extend(run if ingest is None else map(ingest, run))
+                            nw += m
+                            nr += m
+                            p_active += m
+                            iterations += m
+                            left -= m
+                            p_at += m
+                            e_at += m
+                            room -= m
+                            if not room:
+                                leaf.submit = e_at - 1
+                                reading = False
+                            if not left:
+                                p_done = p_at
+                                if traced:
+                                    self._mark_done(p_at, self.p_index, producer.name)
+                            continue
                     pend = (dummy, 0)
                 else:
                     record = next_record()

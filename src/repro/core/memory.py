@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.fixedpoint import FLOATS_PER_WORD, WORD_BITS, unpack_floats
+from repro.fixedpoint import FLOATS_PER_WORD, WORD_BITS
 
 __all__ = [
     "MemoryChannelConfig",
@@ -78,7 +78,9 @@ class BurstRequest:
 
     owner: str  # requesting work-item / engine name
     address: int  # destination offset in 512-bit words
-    words: list  # payload (ints or ApUInt(512))
+    #: payload: a ``(burst words, 16)`` uint32 lane array (what a
+    #: Transfer engine submits), or a sequence of 512-bit ints
+    words: np.ndarray | list
     submitted_cycle: int = 0
     started_cycle: int | None = None
     completed_cycle: int | None = None
@@ -323,26 +325,30 @@ class GlobalMemory:
         self.words_written = 0
 
     def write_word(self, address: int, word) -> None:
-        """Store one 512-bit word at a word-aligned address.
-
-        The 16-lane split is vectorized: lane ``i`` is bits
-        ``[32*i, 32*i+32)`` of the word, which is exactly its
-        little-endian uint32 serialization.
-        """
-        if not 0 <= address < self.size_words:
-            raise IndexError(
-                f"word address {address} out of range [0, {self.size_words})"
-            )
-        base = address * self.LANES
-        self._data[base : base + self.LANES] = np.frombuffer(
-            int(word).to_bytes(4 * self.LANES, "little"), dtype="<u4"
-        )
-        self.words_written += 1
+        """Store one 512-bit word (an int or ``ApUInt(512)``) at a
+        word-aligned address."""
+        self.write_burst(address, (word,))
 
     def write_burst(self, address: int, words) -> None:
-        """Store consecutive words starting at ``address`` (the memcpy)."""
-        for i, word in enumerate(words):
-            self.write_word(address + i, word)
+        """Store consecutive words starting at ``address`` (the memcpy).
+
+        ``words`` is a ``(n, 16)`` uint32 lane array, lane 0 the least
+        significant 32 bits of its word, or a sequence of 512-bit ints,
+        which is split into that array first (lane ``i`` of a word is
+        bits ``[32*i, 32*i+32)``, its little-endian uint32
+        serialization).  The whole range is checked before anything is
+        stored, so a burst that does not fit writes nothing.
+        """
+        if not isinstance(words, np.ndarray):
+            raw = b"".join(int(word).to_bytes(4 * self.LANES, "little") for word in words)
+            words = np.frombuffer(raw, dtype="<u4").reshape(-1, self.LANES)
+        end = address + len(words)
+        if address < 0 or end > self.size_words:
+            raise IndexError(
+                f"words [{address}, {end}) out of range [0, {self.size_words})"
+            )
+        self._data[address * self.LANES : end * self.LANES] = words.reshape(-1)
+        self.words_written += len(words)
 
     def read_floats(self, address_words: int, count: int) -> np.ndarray:
         """Read back ``count`` float32 values starting at a word address."""

@@ -7,9 +7,11 @@ cycle, (b) packs them 16-to-a-word into ``ap_uint<512>`` registers
 (d) flushes the buffer to device global memory as one burst (``memcpy``)
 at an offset derived from the work-item id (device-level buffer
 combining, Section III-E-2).  The model keeps a burst's raw values and
-packs them once, when the burst is submitted
-(:func:`~repro.fixedpoint.pack_floats`): the words are the same, and
-packing is combinational, so it costs no cycle.
+packs them once, when the burst is submitted, into one ``(LTRANSF, 16)``
+uint32 array of their little-endian float32 bits: row ``w`` is word
+``w`` and lane 0 its least significant 32 bits, the words
+:func:`~repro.fixedpoint.pack_floats` builds, without an ``ApUInt`` per
+word.  Packing is combinational, so it costs no cycle.
 
 The engine is busy packing for ``16 * LTRANSF`` cycles per burst, during
 which the *other* work-items' bursts drain on the shared channel — the
@@ -20,10 +22,12 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from repro.core.memory import BurstRequest, MemoryChannel
 from repro.core.process import NO_SELF_EVENT, Process
 from repro.core.stream import Stream
-from repro.fixedpoint import FLOATS_PER_WORD, pack_floats
+from repro.fixedpoint import FLOATS_PER_WORD
 
 __all__ = ["TransferEngine", "DummySource"]
 
@@ -196,11 +200,13 @@ class TransferEngine(Process):
         return self._account(True)
 
     def _submit(self, cycle: int) -> BurstRequest:
-        """Pack this burst's values and submit them at ``cycle``."""
+        """Pack this burst's values into float32 lanes and submit them at
+        ``cycle``."""
+        lanes = np.array(self._values, "<f4").view("<u4")
         request = BurstRequest(
             owner=self.name,
             address=self._offset,
-            words=pack_floats(self._values),
+            words=lanes.reshape(self.burst_words, FLOATS_PER_WORD),
             submitted_cycle=cycle,
         )
         self.channel.submit(request)

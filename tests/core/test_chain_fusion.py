@@ -86,10 +86,11 @@ class Throttled(DummySource):
 
 @dataclass(frozen=True)
 class Item:
-    """One work-item: ``kind`` is ``dummy``, ``lanes``, ``scalar`` or
-    ``throttled``; ``extra`` shifts a source's value count off the
-    engine's quota (short: the engine starves; long: the source blocks
-    for good); ``kernel`` configures a gamma producer."""
+    """One work-item: ``kind`` is ``dummy``, ``lanes``, ``scalar``,
+    ``throttled`` or ``summed`` (a ``DummySource`` into an
+    ``AggregatingTransferEngine``); ``extra`` shifts a source's value
+    count off the engine's quota (short: the engine starves; long: the
+    source blocks for good); ``kernel`` configures a gamma producer."""
 
     kind: str
     extra: int = 0
@@ -176,8 +177,12 @@ def build_items(spec: Spec, streams):
         else:
             cls = Throttled if item.kind == "throttled" else DummySource
             count = max(0, spec.per_item + item.extra)
-            producer = cls(f"P{wid}", stream, count, value=wid + 0.5)
-        engine = TransferEngine(
+            # a summed value is inexact in binary, so a fold that skipped
+            # a value or multiplied one would show in the total
+            value = wid + (0.1 if item.kind == "summed" else 0.5)
+            producer = cls(f"P{wid}", stream, count, value=value)
+        engine_cls = AggregatingTransferEngine if item.kind == "summed" else TransferEngine
+        engine = engine_cls(
             f"E{wid}", wid, stream, channels[wid % spec.n_channels],
             burst_words=spec.burst_words,
             bursts_per_sector=spec.bursts,
@@ -349,14 +354,19 @@ def test_starved_and_overfull_sources_deadlock_identically():
         assert outcome[0] == "DeadlockError"
 
 
-@pytest.mark.parametrize("setup_cycles, bursts, depth", [(0, 2, 16), (20, 3, 20)])
+@pytest.mark.parametrize(
+    "setup_cycles, bursts, depth", [(0, 2, 16), (20, 3, 20), (20, 3, 1), (0, 3, 2)]
+)
 def test_abort_at_every_cycle_of_a_small_region(setup_cycles, bursts, depth):
     """``max_cycles`` at each cycle of a short run, so every phase is cut
     somewhere.  A stream deeper than a burst holds the whole next burst
     when its engine submits, so the third burst fills from what the
     source wrote while the engine waited; with no setup cycles, the
     scalar kernel's naive-MT bubbles and delayed exit run on after its
-    engine is done."""
+    engine is done.  Streams one and two deep with one-word bursts, the
+    Fig 7 benchmark's geometry, cut each of the dummy chain's
+    constant-source runs (the values written and read back to back
+    while the stream stays empty) somewhere."""
     spec = Spec(
         items=(
             Item("dummy"),
@@ -369,6 +379,24 @@ def test_abort_at_every_cycle_of_a_small_region(setup_cycles, bursts, depth):
         ),
         depth=depth, burst_words=1, bursts=bursts, sectors=1, n_channels=1,
         setup_cycles=setup_cycles, cycles_per_word=1, engines_first=True,
+    )
+    final = assert_three_ways(spec, 100_000_000)
+    assert isinstance(final, int)
+    for max_cycles in range(1, final):
+        assert assert_three_ways(spec, max_cycles)[0] == "RuntimeError"
+
+
+@pytest.mark.parametrize("depth", [1, 2, 16])
+def test_source_runs_fold_into_an_aggregating_engine(depth):
+    """No random draw builds a ``DummySource`` chain into an
+    ``AggregatingTransferEngine``.  Its constant-source runs fold each
+    value through ``_ingest`` in read order, so the aggregate's
+    ``total`` and value count are the reference's bit for bit, at
+    every cycle the run is cut at and at its end."""
+    spec = Spec(
+        items=(Item("summed"), Item("dummy"), Item("summed")),
+        depth=depth, burst_words=1, bursts=2, sectors=1, n_channels=1,
+        setup_cycles=20, cycles_per_word=1, engines_first=False,
     )
     final = assert_three_ways(spec, 100_000_000)
     assert isinstance(final, int)

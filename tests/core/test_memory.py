@@ -68,6 +68,29 @@ class TestGlobalMemory:
         with pytest.raises(IndexError):
             mem.read_floats(1, 32)
 
+    @pytest.mark.parametrize("address", [1, -1])
+    def test_burst_out_of_range_writes_nothing(self, address):
+        """A burst that crosses the end, or starts at a negative address
+        (which a slice store would wrap), raises before storing a word."""
+        mem = GlobalMemory(2)
+        mem.write_word(0, 7)
+        before = mem._data.copy()
+        with pytest.raises(IndexError):
+            mem.write_burst(address, [5, 6])
+        np.testing.assert_array_equal(mem._data, before)
+        assert mem.words_written == 1
+
+    def test_lane_array_burst_matches_int_words(self):
+        """A ``(words, 16)`` uint32 lane array, as a Transfer engine
+        submits it, stores what its 512-bit ints would."""
+        values = np.linspace(-3.0, 3.0, 48, dtype=np.float32)
+        lanes = values.view("<u4").reshape(3, FLOATS_PER_WORD)
+        from_lanes, from_ints = GlobalMemory(4), GlobalMemory(4)
+        from_lanes.write_burst(1, lanes)
+        from_ints.write_burst(1, pack_floats(values))
+        assert from_lanes._data.tobytes() == from_ints._data.tobytes()
+        assert from_lanes.words_written == from_ints.words_written == 3
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             GlobalMemory(0)

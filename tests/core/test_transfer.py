@@ -12,7 +12,7 @@ from repro.core import (
     TransferEngine,
     DummySource,
 )
-from repro.fixedpoint import FLOATS_PER_WORD
+from repro.fixedpoint import FLOATS_PER_WORD, pack_floats
 
 
 def _run_engine(n_values, burst_words, sectors=1, channel_cfg=None, wid=0,
@@ -118,6 +118,45 @@ class TestTransferEngine:
         region.add(engine)
         region.run()
         assert engine.stats.stall_cycles > 0
+
+
+#: float32 bit patterns at the edges of the format
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    2.0**-149,  # smallest subnormal
+    float(np.finfo(np.float32).max),
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+]
+
+
+@pytest.mark.parametrize("burst_words", [1, 3])
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_burst_words_match_pack_floats(value, burst_words):
+    """The word format, pinned: a ``DummySource → TransferEngine`` region,
+    fused and on the reference loop, leaves device memory byte for byte
+    as ``pack_floats`` + ``write_word`` would write it."""
+    bursts = 2
+    words = bursts * burst_words
+    expected = GlobalMemory(words)
+    for address in range(words):
+        expected.write_word(address, pack_floats([value] * FLOATS_PER_WORD)[0])
+    for fast in (True, False):
+        memory = GlobalMemory(words)
+        channel = MemoryChannel(MemoryChannelConfig(), memory)
+        stream = Stream("s", depth=2)
+        region = DataflowRegion("edge")
+        region.attach_memory_channel(channel)
+        region.add(DummySource("src", stream, words * FLOATS_PER_WORD, value=value))
+        region.add(TransferEngine(
+            "eng", 0, stream, channel, burst_words=burst_words,
+            bursts_per_sector=bursts, sectors=1, block_offset=words,
+        ))
+        region.run(fast_path=fast)
+        assert memory._data.tobytes() == expected._data.tobytes()
+        assert memory.words_written == words
 
 
 class TestDummySource:

@@ -150,8 +150,8 @@ class TestMeasuredRates:
     def test_icdf_rates_match_norm_ppf(self, transform, variance):
         # the serving tier bills every batch key from these rates: one
         # shared draw per normal family, cut to the candidates a variance
-        # can change, and scipy.special.ndtri in place of norm.ppf must
-        # give exactly what the full-array measurement gives
+        # can change, and repro.rng.icdf.normal_quantile in place of
+        # norm.ppf must give exactly what the full-array measurement gives
         assert_identical(
             measured_path_rates(transform, variance),
             full_array_rates(transform, variance),

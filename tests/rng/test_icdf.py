@@ -70,8 +70,8 @@ class TestFpgaStyleConstruction:
         "segments,subseg_bits", [(28, 6), (1, 1), (20, 5), (30, 12)]
     )
     def test_rom_matches_norm_ppf_tables(self, segments, subseg_bits):
-        # the ROM is built with scipy.special.ndtri, which norm.ppf wraps:
-        # every coefficient equals the table norm.ppf builds
+        # the ROM is built with repro.rng.icdf.normal_quantile (AS241 in
+        # numpy): every coefficient equals the table norm.ppf builds
         t = IcdfFpga(segments, subseg_bits)
         n_sub = 1 << subseg_bits
         for s in range(segments + 1):
