@@ -6,9 +6,9 @@
 network alike.  The lanes exist only to save host time, so this file
 asserts a floor on that saving for both builders:
 
-* the two-sector decoupled region that ``tools/record_bench.py``
-  records as ``lane_throughput.vector_speedup`` (6 work-items,
-  ``limit_main=512``): scalar / lanes >= 1.5;
+* the two-sector decoupled region whose cycle count
+  ``tools/record_bench.py`` records as ``lane_throughput.cycles`` (6
+  work-items, ``limit_main=512``): scalar / lanes >= 1.5;
 * the pipelined pricing network (4 work-items, ``limit_main=512``),
   whose RNG stage shares the cycle loop with pricing and transfer
   processes the lanes do not speed up: scalar / lanes >= 1.25.

@@ -21,15 +21,10 @@ four-step DAG::
   content, rows ordered by config hash) and stores it under the
   ``report`` meta key — the byte-identical-after-resume artifact.
 
-Row payloads come in three kinds::
+Row payloads come in two kinds::
 
     {"experiment": "fifo-prune", "kwargs": {...}}   # registry runner
     {"spec": "pkg.module:callable", "kwargs": {...}}  # direct import
-    {"bench": "fastpath", "suite": "simulator"}     # record_bench block
-
-The third kind is what ``tools/record_bench.py --to-db`` writes; a
-worker can also execute it when the ``tools/`` directory is locatable
-(repo checkout or ``REPRO_TOOLS_DIR``).
 """
 
 from __future__ import annotations
@@ -71,40 +66,6 @@ def _resolve_spec(spec: str) -> Callable:
     return getattr(importlib.import_module(module_name), attr)
 
 
-def _resolve_bench(name: str) -> Callable:
-    """Locate ``tools/record_bench.py`` and return its ``bench_<name>``.
-
-    Works from a repo checkout (``tools/`` three levels above this
-    package) or via ``REPRO_TOOLS_DIR``; raises a clear error when the
-    bench payload is executed somewhere the tools directory is not.
-    """
-    candidates = [os.environ.get("REPRO_TOOLS_DIR")]
-    here = os.path.dirname(os.path.abspath(__file__))
-    candidates.append(
-        os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(here))), "tools")
-    )
-    for tools_dir in candidates:
-        if tools_dir and os.path.isfile(
-            os.path.join(tools_dir, "record_bench.py")
-        ):
-            if tools_dir not in sys.path:
-                sys.path.insert(0, tools_dir)
-            import importlib
-
-            record_bench = importlib.import_module("record_bench")
-            try:
-                return record_bench.BENCHES[name]
-            except KeyError:
-                raise ValueError(
-                    f"unknown bench block {name!r}; known: "
-                    f"{', '.join(record_bench.BENCHES)}"
-                ) from None
-    raise RuntimeError(
-        "cannot locate tools/record_bench.py for a bench payload; "
-        "set REPRO_TOOLS_DIR or run from a repo checkout"
-    )
-
-
 def result_to_json(result) -> dict:
     """Serialize a driver's return value for the ``result`` column.
 
@@ -138,24 +99,17 @@ def execute_payload(payload: dict) -> dict:
         runner = registry.get_runner(payload["experiment"])
     elif "spec" in payload:
         runner = _resolve_spec(payload["spec"])
-    elif "bench" in payload:
-        runner = _resolve_bench(payload["bench"])
     else:
         raise ValueError(
-            "payload needs one of 'experiment', 'spec' or 'bench': "
-            f"{payload!r}"
+            f"payload needs one of 'experiment' or 'spec': {payload!r}"
         )
     return result_to_json(runner(**kwargs))
 
 
 def payload_label(payload: dict) -> str:
     """Short human label for a payload (report and status tables)."""
-    if "experiment" in payload:
-        label = payload["experiment"]
-    elif "spec" in payload:
-        label = payload["spec"]
-    else:
-        label = f"bench:{payload.get('bench')}"
+    # a row of neither kind fails when run; its label must still render
+    label = payload.get("experiment") or payload.get("spec") or repr(payload)
     kwargs = payload.get("kwargs") or {}
     if kwargs:
         inner = ",".join(f"{k}={kwargs[k]!r}" for k in sorted(kwargs))

@@ -237,31 +237,6 @@ class CampaignStore:
     ) -> list[int]:
         return [self.add_row(p, seed=seed) for p in payloads]
 
-    def record_done(
-        self, payload: dict, result: dict, seed: int | None = None
-    ) -> int:
-        """Insert-or-replace a row directly in ``done`` state.
-
-        The ``--to-db`` bench path uses this: the measurement already
-        happened in-process, the store only keeps the result and its
-        provenance.  Re-recording the same identity replaces the
-        result (latest wins) and bumps ``attempts``.
-        """
-        row_id = self.add_row(payload, seed=seed)
-        now = time.time()
-        with closing(self._connect()) as con:
-            con.execute(
-                "UPDATE experiments SET status='done', result=?, error=NULL,"
-                " finished_at=?, attempts=attempts+1, git_sha=? WHERE id=?",
-                (
-                    json.dumps(result, sort_keys=True),
-                    now,
-                    current_git_sha(),
-                    row_id,
-                ),
-            )
-        return row_id
-
     # -- the claim protocol ------------------------------------------------------
 
     def claim(self, worker_id: str) -> CampaignRow | None:

@@ -353,8 +353,10 @@ class GlobalMemory:
     def read_floats(self, address_words: int, count: int) -> np.ndarray:
         """Read back ``count`` float32 values starting at a word address."""
         base = address_words * self.LANES
-        if base + count > self._data.size:
-            raise IndexError("read beyond end of device memory")
+        if address_words < 0 or count < 0 or base + count > self._data.size:
+            raise IndexError(
+                f"floats [{base}, {base + count}) out of range [0, {self._data.size})"
+            )
         return self._data[base : base + count].view(np.float32).copy()
 
     def as_float_array(self) -> np.ndarray:

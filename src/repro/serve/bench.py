@@ -72,8 +72,10 @@ def run_serve_tier(
 ) -> ExperimentResult:
     """Offered-load sweep of the sharded tier on the virtual clock.
 
-    One row per load multiplier; deterministic for a given seed (this
-    is what ``tools/record_bench.py --suite serving`` records).
+    One row per load multiplier; deterministic for a given seed.
+    ``tools/record_bench.py --suite serving`` records the default run
+    as ``BENCH_serving.json``, and ``tools/check_bench.py`` gates every
+    value in it exactly.
     ``faults`` is a live :class:`~repro.engine.resilience.FaultPlan`,
     a plan dict or a path to a plan JSON file (``--faults PLAN.json``).
     The default plan fails ~3 % of batch attempts, each failed job

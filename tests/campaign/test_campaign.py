@@ -49,13 +49,6 @@ class TestPayloads:
         assert out["headers"] and out["rows"]  # ExperimentResult shape
         json.dumps(out)
 
-    def test_bench_payload_resolves_known_blocks(self):
-        from repro.campaign.campaign import _resolve_bench
-
-        assert callable(_resolve_bench("fastpath"))
-        with pytest.raises(ValueError, match="unknown bench block"):
-            _resolve_bench("no-such-bench")
-
     def test_unknown_payload_kind_raises(self):
         with pytest.raises(ValueError, match="experiment"):
             execute_payload({"mystery": 1})
@@ -70,8 +63,10 @@ class TestPayloads:
             {"experiment": "eq1", "kwargs": {"b": 2, "a": 1}}
         ) == "eq1(a=1,b=2)"
         assert payload_label(
-            {"bench": "fastpath", "suite": "simulator"}
-        ) == "bench:fastpath"
+            {"spec": "pkg.mod:fn", "kwargs": {"n": 2}}
+        ) == "pkg.mod:fn(n=2)"
+        # a row of neither kind fails when run; validate still names it
+        assert payload_label({"mystery": 1}) == "{'mystery': 1}"
 
     def test_result_to_json_shapes(self):
         assert result_to_json({"k": 1}) == {"k": 1}

@@ -42,16 +42,6 @@ class TestSeeding:
         assert store.get(row_id).status == "done"
         assert store.get(row_id).result == {"ok": True}
 
-    def test_record_done_latest_wins_and_counts_attempts(self, store):
-        payload = {"bench": "fastpath", "suite": "simulator"}
-        first = store.record_done(payload, {"cycles": 1})
-        second = store.record_done(payload, {"cycles": 2})
-        assert first == second
-        row = store.get(first)
-        assert row.status == "done"
-        assert row.result == {"cycles": 2}
-        assert row.attempts == 2
-
 
 class TestClaimProtocol:
     def test_claim_lifecycle_stamps_provenance(self, store):

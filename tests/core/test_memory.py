@@ -65,8 +65,10 @@ class TestGlobalMemory:
         mem = GlobalMemory(2)
         with pytest.raises(IndexError):
             mem.write_word(2, 0)
-        with pytest.raises(IndexError):
-            mem.read_floats(1, 32)
+        # a negative address or count must not wrap like a slice does
+        for address, count in ((1, 32), (-1, 8), (-1, 16), (0, -1)):
+            with pytest.raises(IndexError):
+                mem.read_floats(address, count)
 
     @pytest.mark.parametrize("address", [1, -1])
     def test_burst_out_of_range_writes_nothing(self, address):
